@@ -120,26 +120,15 @@ void write_json(const std::string& path, const std::string& workload,
   out << "  \"schemes\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    // The three tick-work counters record how much per-tick rate-control
-    // work the incremental mode skipped (all zero for non-rate schemes and
-    // under SPLICER_FULL_RECOMPUTE=1).
     std::snprintf(buf, sizeof(buf),
                   "    {\"scheme\": \"%s\", \"wall_s\": %.6f, "
                   "\"scheduler_events\": %llu, \"events_per_sec\": %.0f, "
                   "\"ns_per_event\": %.1f, \"peak_rss_kib\": %ld, "
-                  "\"tsr\": %.6f, "
-                  "\"price_updates_skipped\": %llu, "
-                  "\"probe_sums_reused\": %llu, "
-                  "\"active_pairs_peak\": %llu}%s\n",
+                  "\"tsr\": %.6f}%s\n",
                   r.name.c_str(), r.best_wall_s,
                   static_cast<unsigned long long>(r.metrics.scheduler_events),
                   r.events_per_sec(), r.ns_per_event(), r.rss_after_kib,
-                  r.metrics.tsr(),
-                  static_cast<unsigned long long>(
-                      r.metrics.price_updates_skipped),
-                  static_cast<unsigned long long>(r.metrics.probe_sums_reused),
-                  static_cast<unsigned long long>(r.metrics.active_pairs_peak),
-                  i + 1 < results.size() ? "," : "");
+                  r.metrics.tsr(), i + 1 < results.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n";
@@ -205,7 +194,6 @@ int main(int argc, char** argv) {
 
   routing::SchemeConfig scheme_config;
   scheme_config.engine.settlement_epoch_s = epoch_s;
-  scheme_config.engine.full_recompute_ticks = bench::full_recompute_mode();
 
   // All six schemes, not just the figure-comparison five: the hot path must
   // stay fast for every router's event mix (ShortestPath = atomic HTLCs).

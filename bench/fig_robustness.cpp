@@ -138,7 +138,6 @@ int main(int argc, char** argv) {
   const routing::ScenarioConfig scenario = bench::small_scale_config();
   routing::SchemeConfig base;
   base.engine.settlement_epoch_s = epoch_s;
-  base.engine.full_recompute_ticks = bench::full_recompute_mode();
 
   routing::ParallelRunner runner({threads, 1});
 

@@ -15,7 +15,6 @@
 #include "placement/cost_model.h"
 #include "placement/milp_solver.h"
 #include "routing/experiment.h"
-#include "routing/spider_router.h"
 
 namespace {
 
@@ -126,86 +125,6 @@ void BM_ShamirSplitReconstruct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShamirSplitReconstruct);
-
-/// One rate-control tick (price updates + probes) at a controlled
-/// dirty-channel fraction, via the public run_protocol_tick hook. A short
-/// warm-up simulation seeds real pair/path/price state; each iteration
-/// then feeds crafted TU arrivals into `dirty_pct` percent of the channels
-/// (round-robin, deterministic) and runs one tick. Args: {dirty_pct,
-/// full_recompute} — comparing full_recompute 0 vs 1 at the same fraction
-/// is the incremental tick's speedup; the fraction sweep shows how it
-/// narrows as more of the network goes dirty per tick, and inverts at
-/// 100% (every flat changing every tick pays the change-tracking writes
-/// and subscription checks with nothing left to skip — the regime the
-/// full_recompute knob exists for).
-void BM_RateTick(benchmark::State& state) {
-  const auto dirty_pct = static_cast<std::size_t>(state.range(0));
-  const bool full_recompute = state.range(1) != 0;
-  auto g = make_graph(600);
-  auto network =
-      pcn::Network::with_uniform_funds(std::move(g), common::whole_tokens(400));
-  const std::size_t channels = network.channel_count();
-
-  // Warm-up workload: 60 sender/receiver pairs, four payments each, all
-  // arriving inside the first two seconds; run_window(8) lets them resolve
-  // so the tick loop below runs on settled-but-realistic router state.
-  common::Rng rng(11);
-  std::vector<pcn::Payment> payments;
-  for (std::size_t i = 0; i < 240; ++i) {
-    pcn::Payment p;
-    p.id = i + 1;
-    p.sender = static_cast<pcn::NodeId>(rng.next_below(600));
-    do {
-      p.receiver = static_cast<pcn::NodeId>(rng.next_below(600));
-    } while (p.receiver == p.sender);
-    p.value = common::whole_tokens(static_cast<pcn::Amount>(rng.uniform_int(2, 20)));
-    p.arrival_time = rng.uniform(0.05, 2.0);
-    p.deadline = p.arrival_time + 3.0;
-    payments.push_back(p);
-  }
-  std::sort(payments.begin(), payments.end(), [](const auto& a, const auto& b) {
-    return a.arrival_time < b.arrival_time;
-  });
-  for (std::size_t i = 0; i < payments.size(); ++i) {
-    payments[i].id = i + 1;
-  }
-
-  routing::SpiderRouter router;
-  routing::EngineConfig config;
-  config.full_recompute_ticks = full_recompute;
-  routing::Engine engine(std::move(network), std::move(payments), router,
-                         config);
-  engine.begin_run();
-  (void)engine.run_window(8.0);
-
-  const std::size_t dirty_count = channels * dirty_pct / 100;
-  std::size_t next_channel = 0;
-  routing::TransactionUnit tu;
-  tu.hop_amounts = {common::whole_tokens(2)};
-  tu.next_hop = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < dirty_count; ++i) {
-      router.on_tu_forwarded(engine, tu,
-                             static_cast<pcn::ChannelId>(next_channel % channels),
-                             pcn::Direction::kForward);
-      ++next_channel;
-    }
-    router.run_protocol_tick(engine);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * channels));
-  state.counters["price_updates_skipped"] = static_cast<double>(
-      engine.metrics().price_updates_skipped);
-  state.counters["probe_sums_reused"] =
-      static_cast<double>(engine.metrics().probe_sums_reused);
-}
-BENCHMARK(BM_RateTick)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({10, 0})
-    ->Args({10, 1})
-    ->Args({100, 0})
-    ->Args({100, 1});
 
 void BM_SplicerSimulation(benchmark::State& state) {
   routing::ScenarioConfig config;

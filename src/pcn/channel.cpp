@@ -25,7 +25,6 @@ bool Channel::lock(Direction d, Amount value) {
   if (balance < value) return false;
   balance -= value;
   locked_[dir_index(d)] += value;
-  ++generation_;
   return true;
 }
 
@@ -36,7 +35,6 @@ void Channel::settle(Direction d, Amount value) {
   }
   lock_pool -= value;
   balance_[dir_index(opposite(d))] += value;
-  ++generation_;
 }
 
 void Channel::refund(Direction d, Amount value) {
@@ -46,7 +44,6 @@ void Channel::refund(Direction d, Amount value) {
   }
   lock_pool -= value;
   balance_[dir_index(d)] += value;
-  ++generation_;
 }
 
 void Channel::settle_n(Direction d, Amount total, std::uint64_t count) {
@@ -72,7 +69,6 @@ bool Channel::transfer(Direction d, Amount value) {
   if (from < value) return false;
   from -= value;
   balance_[dir_index(opposite(d))] += value;
-  ++generation_;
   return true;
 }
 

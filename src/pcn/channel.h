@@ -88,16 +88,6 @@ class Channel {
   /// Imbalance |balance_ab - balance_ba| (diagnostics / rebalancing tests).
   [[nodiscard]] Amount imbalance() const noexcept;
 
-  /// Count of fund-moving operations (lock/settle/refund/transfer,
-  /// including the batched *_n forms) applied since construction. A cheap
-  /// change stamp: two snapshots with equal generation saw no mutation in
-  /// between, so any derived per-channel quantity is still valid. The
-  /// engine's dirty-channel list (Engine::mark_channel_dirty) is built on
-  /// the same mutation sites; incremental rate-control uses the list for
-  /// per-tick work and this counter for cross-mode validation (two runs
-  /// that executed identical mutation sequences end at equal generations).
-  [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
-
   /// Churn state: a closed channel refuses new locks at the engine level
   /// (attempt_hop fails the TU with kChannelClosed) while in-flight
   /// settles/refunds of locks taken before the close stay legal — funds
@@ -114,7 +104,6 @@ class Channel {
   NodeId node_b_;
   Amount balance_[2];
   Amount locked_[2];
-  std::uint64_t generation_ = 0;
   bool closed_ = false;
   ChannelPolicy policy_{};
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace splicer::routing {
@@ -29,6 +30,19 @@ const char* to_string(FailReason reason) noexcept {
     case FailReason::kChannelClosed: return "channel-closed";
   }
   return "?";
+}
+
+void EngineConfig::validate() const {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("EngineConfig: ") + what);
+  };
+  // The `> 0` tests that pick batched mode would read a negative or NaN
+  // epoch as exact mode without a word.
+  if (!(settlement_epoch_s >= 0)) fail("settlement_epoch_s must be >= 0");
+  if (!(hop_delay_s >= 0)) fail("hop_delay_s must be >= 0");
+  if (!(process_rate_tokens_per_s > 0)) {
+    fail("process_rate_tokens_per_s must be > 0");
+  }
 }
 
 void EngineMetrics::merge_from(const EngineMetrics& other) {
@@ -60,10 +74,6 @@ void EngineMetrics::merge_from(const EngineMetrics& other) {
   shard_barriers += other.shard_barriers;
   price_updates_skipped += other.price_updates_skipped;
   probe_sums_reused += other.probe_sums_reused;
-  // Each shard's router sweeps its own pair set; the simultaneous total
-  // across shards is the sum of the per-shard peaks' upper bound, matching
-  // the other peak fields' merge convention.
-  active_pairs_peak += other.active_pairs_peak;
   mutation_events += other.mutation_events;
   resident_tus_at_end += other.resident_tus_at_end;
   wedged_queue_value += other.wedged_queue_value;
@@ -77,6 +87,7 @@ Engine::Engine(pcn::Network network, std::unique_ptr<pcn::TrafficSource> source,
       config_(config),
       rng_(config.seed) {
   if (!source_) throw std::invalid_argument("Engine: null traffic source");
+  config_.validate();
   scheduler_.set_sink(this);
   source_horizon_ = source_->horizon_hint();
   directed_.resize(2 * network_.channel_count());
@@ -132,7 +143,6 @@ void Engine::handle_event(const sim::EngineEvent& event) {
       const pcn::Direction d = ch.direction_from(event.aux);
       const auto amount = static_cast<Amount>(event.a);
       ++metrics_.messages.ack_messages;
-      mark_channel_dirty(event.channel);
       if (event.kind == Kind::kSettleAck) {
         ch.settle(d, amount);
         // The receiving side gained spendable funds: opposite direction.
@@ -319,7 +329,6 @@ void Engine::apply_mutation(const pcn::MutationEvent& event) {
     case Kind::kChannelClose:
       if (channel_close_depth_[event.channel]++ == 0) {
         network_.channel(event.channel).set_closed(true);
-        mark_channel_dirty(event.channel);
         // Fund-touching side effects run on the owning shard only; every
         // other shard just flips the flag so path selection agrees.
         if (!channel_is_remote(event.channel)) on_channel_close(event.channel);
@@ -329,7 +338,6 @@ void Engine::apply_mutation(const pcn::MutationEvent& event) {
       if (channel_close_depth_[event.channel] > 0 &&
           --channel_close_depth_[event.channel] == 0) {
         network_.channel(event.channel).set_closed(false);
-        mark_channel_dirty(event.channel);
       }
       break;
     case Kind::kFeePolicy: {
@@ -339,7 +347,6 @@ void Engine::apply_mutation(const pcn::MutationEvent& event) {
       policy.fee_proportional = event.policy.fee_proportional;
       policy.min_htlc = event.policy.min_htlc;
       ch.set_policy(policy);
-      mark_channel_dirty(event.channel);
       break;
     }
     case Kind::kTimelock: {
@@ -347,7 +354,6 @@ void Engine::apply_mutation(const pcn::MutationEvent& event) {
       pcn::ChannelPolicy policy = ch.policy();
       policy.timelock = event.policy.timelock;
       ch.set_policy(policy);
-      mark_channel_dirty(event.channel);
       break;
     }
   }
@@ -746,7 +752,6 @@ void Engine::attempt_hop(TuId id) {
     return;
   }
   live.hop_locked[hop] = 1;
-  mark_channel_dirty(channel);
   ds.next_free = std::max(scheduler_.now(), ds.next_free) +
                  common::to_tokens(amount) / config_.process_rate_tokens_per_s;
   ++metrics_.messages.data_hops;
@@ -1152,7 +1157,6 @@ void Engine::flush_settlements(bool drain) {
     const ChannelId channel = channel_of(idx);
     const pcn::Direction d = direction_of(idx);
     auto& ch = network_.channel(channel);
-    if (p.settle_ops > 0 || p.refund_ops > 0) mark_channel_dirty(channel);
     if (p.settle_ops > 0) {
       ch.settle_n(d, p.settle_total, p.settle_ops);
       // The receiving side gained spendable funds: opposite direction.

@@ -67,15 +67,6 @@ struct EngineConfig {
   /// are identical in both modes; only memory (peak_resident_states) and
   /// the states_evicted counter differ.
   bool retain_resolved = true;
-  /// Debug/parity knob for the incremental rate-control tick. false
-  /// (default) lets rate routers skip provably-identity per-tick work
-  /// (dirty-channel price updates, memoized probe sums, sleeping pairs) —
-  /// bit-identical results, less wall time. true forces the legacy full
-  /// sweep over every channel and pair each tick; CI diffs the two modes'
-  /// outputs byte for byte. Benches honour SPLICER_FULL_RECOMPUTE=1 by
-  /// setting this (the env read lives in the bench layer — ambient state
-  /// never reaches src/).
-  bool full_recompute_ticks = false;
   /// Hostile-world scenario pack: fault injection, channel churn, per-edge
   /// fee/timelock policies (see pcn/scenario_mutator.h). All rates default
   /// to 0, in which case no mutator is built, no mutation event is ever
@@ -84,6 +75,10 @@ struct EngineConfig {
   /// randomness derives from hostile.seed, never from `seed`, so the
   /// stream is also bit-identical across shard counts.
   pcn::HostileConfig hostile;
+
+  /// Throws std::invalid_argument on a negative or NaN settlement epoch, a
+  /// negative or NaN hop delay, or a processing rate that is not > 0.
+  void validate() const;
 };
 
 struct EngineMetrics {
@@ -138,14 +133,11 @@ struct EngineMetrics {
   /// scheduler_events / this = the speedup the partition admits on enough
   /// cores. 0 in a sequential run; set by the coordinator after merging.
   std::uint64_t shard_critical_path_events = 0;
-  /// Incremental rate-control tick work signals (0 for non-rate routers
-  /// and in full-recompute mode; the only metrics allowed to differ
-  /// between the two tick modes). Per-channel price updates skipped as
-  /// provable identities, path price sums reused unchanged, and the peak
-  /// number of pairs simultaneously awake in the probe sweep.
+  /// Always 0: the rate tick sweeps every channel and pair each tau, so it
+  /// skips no price update and reuses no probe sum. Kept because the
+  /// perfbench harness still reads and reports both fields.
   std::uint64_t price_updates_skipped = 0;
   std::uint64_t probe_sums_reused = 0;
-  std::size_t active_pairs_peak = 0;
   /// Hostile-world mutation events applied (0 in a benign run). In a
   /// sharded run every shard replays the full stream (state flags must
   /// agree everywhere), so the merged count is shards x stream length.
@@ -404,41 +396,6 @@ class Engine : private sim::EventSink {
   /// Queue depth in value for a directed channel (router congestion input).
   [[nodiscard]] Amount queue_amount(ChannelId channel, pcn::Direction d) const;
 
-  // ---- Dirty-channel feed (incremental rate-control ticks) -------------
-  // A rate router opts in at on_start; from then on every fund-moving
-  // channel mutation the engine performs (lock, settle/refund acks, the
-  // batched epoch flush — the inputs of price eqs. 21-22) appends the
-  // channel to the dirty list, deduplicated by a flag. The router drains
-  // the list once per protocol tick. Off by default so non-rate routers
-  // pay nothing and the list can never grow unconsumed. In sharded runs
-  // each shard's engine keeps its own list; cross-shard settle/refund acks
-  // applied at a barrier land on the owning engine's list through the same
-  // event path, so the next tick inside the window sees them.
-
-  /// Opt in (idempotent). Sizes the flag vector to the network.
-  void enable_dirty_channel_tracking() {
-    dirty_tracking_ = true;
-    channel_dirty_.assign(network_.channel_count(), 0);
-    dirty_channels_.clear();
-  }
-  /// Appends `channel` to the dirty list (no-op when tracking is off or
-  /// the channel is already listed). Hot path: one flag load on every
-  /// channel mutation.
-  void mark_channel_dirty(ChannelId channel) {
-    if (!dirty_tracking_ || channel_dirty_[channel] != 0) return;
-    channel_dirty_[channel] = 1;
-    dirty_channels_.push_back(channel);
-  }
-  /// Channels mutated since the last clear, in first-mutation order (a
-  /// deterministic function of the event stream).
-  [[nodiscard]] const std::vector<ChannelId>& dirty_channels() const noexcept {
-    return dirty_channels_;
-  }
-  void clear_dirty_channels() {
-    for (const ChannelId c : dirty_channels_) channel_dirty_[c] = 0;
-    dirty_channels_.clear();
-  }
-
  private:
   struct LiveTu {
     TransactionUnit tu;
@@ -631,11 +588,6 @@ class Engine : private sim::EventSink {
   common::DenseIdMap<PaymentState> states_;
   common::DenseIdMap<LiveTu> live_;
   std::vector<DirectedState> directed_;
-  // Dirty-channel feed (see the router-facing section): flag per channel
-  // plus the drain list, populated only after enable_dirty_channel_tracking.
-  std::vector<char> channel_dirty_;
-  std::vector<ChannelId> dirty_channels_;
-  bool dirty_tracking_ = false;
   SettlementBatcher batcher_;
   // Hostile-world mutation state: the mutator streams, one staged event
   // per mutator, and per-target depth counters for overlapping faults.

@@ -131,6 +131,10 @@ void FlashRouter::send_elephant(Engine& engine, const pcn::Payment& payment,
     tu.deadline = payment.deadline;
     ++progress.outstanding;
     engine.send_tu(std::move(tu));
+    // A split that fails inside send_tu can resolve the payment, and
+    // on_payment_resolved then erases the entry `progress` refers to:
+    // the payment is over, so send no further splits.
+    if (!progress_.contains(payment.id)) return;
   }
 }
 

@@ -2,41 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "routing/path_filter.h"
 
 namespace splicer::routing {
 
+void RateProtocolConfig::validate() const {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("RateProtocolConfig: ") + what);
+  };
+  if (!(tau_s > 0) || !std::isfinite(tau_s)) fail("tau_s must be finite and > 0");
+  if (!(price_decay > 0 && price_decay <= 1)) fail("price_decay must be in (0, 1]");
+  if (!(min_rate_tps <= max_rate_tps)) fail("min_rate_tps must be <= max_rate_tps");
+  if (!(min_window <= max_window)) fail("min_window must be <= max_window");
+  if (min_tu > max_tu) fail("min_tu must be <= max_tu");
+  if (k_paths < 1) fail("k_paths must be >= 1");
+}
+
 void RateRouterBase::on_start(Engine& engine) {
+  config_.validate();
   const std::size_t channels = engine.network().channel_count();
   prices_.assign(channels, ChannelPrices{});
   // channel_price() of the zero-initialised prices is 0 for every
   // direction, so the flat mirror starts at zero too.
   price_flat_.assign(2 * channels, 0.0);
-
-  // Incremental-tick state. The default mode skips provably-identity
-  // per-tick work; full_recompute_ticks forces the legacy full sweeps so
-  // CI can diff the two modes' outputs byte for byte.
-  full_recompute_ = engine.config().full_recompute_ticks;
-  tick_ = 0;
-  flat_tick_.assign(2 * channels, 0);
-  channel_active_.assign(channels, 0);
-  active_channels_.clear();
-  sleep_subs_.assign(2 * channels, {});
-  wake_heap_.clear();
-  active_pairs_.clear();
-  if (!full_recompute_) {
-    engine.enable_dirty_channel_tracking();
-    // A reused router may carry pairs from a previous run: every pair
-    // starts the run awake (the ordered map yields the sorted list).
-    for (auto& [key, state] : pairs_) {
-      state.key = key;
-      state.awake = true;
-      state.sleep_epoch = 0;
-      state.subs_epoch = ~std::uint64_t{0};
-      active_pairs_.push_back(&state);
-    }
-  }
 
   // workload_horizon() is queried per tick: for streaming sources it grows
   // as payments are pulled, so price updates keep running until the tail
@@ -96,7 +87,6 @@ void RateRouterBase::admit_demand(Engine& engine, const pcn::Payment& payment) {
     return;
   }
   pair_of_payment_[payment.id] = pair;
-  wake_pair(*ps);  // new demand: the pair can no longer sit out probe sweeps
   ps->demands.push_back(DemandEntry{payment.id, payment.value});
   for (std::size_t i = 0; i < ps->paths.size(); ++i) {
     schedule_drip(engine, pair, i);
@@ -109,7 +99,6 @@ RateRouterBase::PairState* RateRouterBase::ensure_pair(Engine& engine,
   if (it != pairs_.end()) return &it->second;
 
   PairState state;
-  state.key = pair;
   // SPLICER_LINT_ALLOW(hotpath-alloc): first-touch pair construction — runs
   // once per (src, dst) pair on its first demand, never per TU or per tick.
   const std::vector<graph::Path> pair_paths = compute_pair_paths(engine, pair);
@@ -144,13 +133,6 @@ RateRouterBase::PairState* RateRouterBase::ensure_pair(Engine& engine,
   if (state.paths.empty()) return nullptr;
   PairState* stored = &pairs_.emplace(pair, std::move(state)).first->second;
   pair_index_.emplace(pack_pair(pair), stored);
-  if (!full_recompute_) {
-    // New pairs are born awake; keep the active list sorted by key.
-    const auto pos = std::lower_bound(
-        active_pairs_.begin(), active_pairs_.end(), pair,
-        [](const PairState* p, const PairKey& key) { return p->key < key; });
-    active_pairs_.insert(pos, stored);
-  }
   return stored;
 }
 
@@ -163,127 +145,45 @@ std::vector<graph::Path> RateRouterBase::compute_pair_paths(
 }
 
 void RateRouterBase::update_prices(Engine& engine) {
-  ++tick_;
-  auto& network = engine.network();
-  // Fold the engine's dirty-channel feed (every fund move since the last
-  // tick) into the active set. Fund moves without arrivals are themselves
-  // identity updates today (imbalance 0 zeroes the urgency term before the
-  // balance-dependent normaliser matters), but activating them keeps the
-  // skip provably safe against any future balance-dependent price term.
-  for (const ChannelId c : engine.dirty_channels()) activate_channel(c);
-  engine.clear_dirty_channels();
-
-  if (full_recompute_) {
-    // Legacy sweep: eqs. (21)-(22) applied to every channel every tau.
-    for (ChannelId c = 0; c < network.channel_count(); ++c) {
-      (void)update_channel_price(engine, c);
-    }
-    return;
-  }
-  // Incremental sweep: only channels whose update can differ from the
-  // identity — ever-touched channels still carrying price state plus this
-  // window's dirty feed. Visit order does not matter (per-channel updates
-  // are independent) but is deterministic anyway: first-activation order
-  // is a function of the event stream. Channels whose post-update state is
-  // exactly zero retire until re-activated.
-  const std::size_t visited = active_channels_.size();
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < visited; ++i) {
-    const ChannelId c = active_channels_[i];
-    if (update_channel_price(engine, c)) {
-      active_channels_[kept++] = c;
-    } else {
-      channel_active_[c] = 0;
-    }
-  }
-  // SPLICER_LINT_ALLOW(hotpath-alloc): compaction shrink — kept <= size(),
-  // so this resize never reallocates.
-  active_channels_.resize(kept);
-  engine.metrics().price_updates_skipped += network.channel_count() - visited;
-}
-
-bool RateRouterBase::update_channel_price(Engine& engine, ChannelId c) {
-  auto& network = engine.network();
-  auto& p = prices_[c];
-  const double capacity_tokens = common::to_tokens(network.channel(c).capacity());
+  const auto& network = engine.network();
   // Funds required to sustain the current arrival rates for one lock
-  // duration Delta (n_a + n_b of eq. 21).
+  // duration Delta (n_a + n_b of eq. 21), per token arrived this window.
   const double scale = config_.delta_rtt_s / config_.tau_s;
-  const double required =
-      (p.arrived_tokens[0] + p.arrived_tokens[1]) * scale;
-  const double cap = std::max(capacity_tokens, 1e-9);
-  p.lambda = std::clamp(
-      p.lambda + config_.kappa * (required - capacity_tokens) / cap, 0.0,
-      config_.max_price);
-  // Imbalance urgency: the same net drain matters in proportion to the
-  // funds remaining on the side being drained - the quantity the balance
-  // constraint (eq. 19) ultimately protects. The cap/3 ceiling engages
-  // the brake while headroom still exists (a side holding most of the
-  // channel is not "safe" if the drain rate empties it within seconds).
-  const auto& ch = network.channel(c);
-  const double imbalance_tokens = p.arrived_tokens[0] - p.arrived_tokens[1];
-  const double floor_tokens = 0.01 * cap;
-  const double draining_side = common::to_tokens(
-      ch.available(imbalance_tokens >= 0 ? pcn::Direction::kForward
-                                         : pcn::Direction::kBackward));
-  const double normaliser =
-      std::clamp(draining_side, floor_tokens, cap / 3.0);
-  const double urgency = imbalance_tokens / normaliser;
-  p.mu[0] = std::clamp(p.mu[0] + config_.eta * urgency, 0.0, config_.max_price);
-  p.mu[1] = std::clamp(p.mu[1] - config_.eta * urgency, 0.0, config_.max_price);
-  p.lambda *= config_.price_decay;
-  p.mu[0] *= config_.price_decay;
-  p.mu[1] *= config_.price_decay;
-  p.arrived_tokens[0] = 0.0;
-  p.arrived_tokens[1] = 0.0;
-  // Mirror into the flat per-direction array read by probes and fee
-  // schedules until the next tick (prices only change here). A write only
-  // happens on a bitwise change, which stamps the memoization clock and
-  // checks the sleeping pairs subscribed to this flat.
-  for (int dir = 0; dir < 2; ++dir) {
-    const std::size_t idx = 2 * c + dir;
-    const double old_flat = price_flat_[idx];
-    const double new_flat =
-        channel_price(c, static_cast<pcn::Direction>(dir));
-    if (new_flat == old_flat) continue;
-    price_flat_[idx] = new_flat;
-    if (full_recompute_) continue;
-    flat_tick_[idx] = tick_;
-    auto& subs = sleep_subs_[idx];
-    if (subs.empty()) continue;
-    // Pin-safety triggers. A min-pinned path stays pinned while its price
-    // decays by at most price_decay per tick, so only a steeper drop needs
-    // a wake (pure decay is covered by the precomputed wake tick; lambda
-    // collapsing through its clamp, or an imbalance reversal, is not). A
-    // max-pinned path stays pinned under any price decrease, so only an
-    // increase needs a wake. The comparisons subsume every arrival-driven
-    // (non-decay) effect, so no arrival hint is needed. The 1e-9 slack
-    // absorbs last-bit rounding between this product and the decayed
-    // price terms (a clamped-then-decayed lambda can land one ulp under
-    // it); the wake-tick margin of 2% dwarfs the slack's accumulated
-    // drift, so the pin bound still holds.
-    const bool steep_drop =
-        new_flat < old_flat * config_.price_decay * (1.0 - 1e-9);
-    const bool rise = new_flat > old_flat;
-    if (!steep_drop && !rise) continue;
-    std::size_t keep = 0;
-    for (const SleepSub& sub : subs) {
-      PairState* ps = sub.pair;
-      if (ps->awake || ps->sleep_epoch != sub.epoch) {
-        continue;  // stale: drop
-      }
-      if ((sub.mask & kWakeOnDrop && steep_drop) ||
-          (sub.mask & kWakeOnRise && rise)) {
-        wake_pair(*ps);
-        continue;  // consumed
-      }
-      subs[keep++] = sub;  // still armed for the other trigger
-    }
-    // SPLICER_LINT_ALLOW(hotpath-alloc): compaction shrink — keep <= size(),
-    // so this resize never reallocates.
-    subs.resize(keep);
+  for (ChannelId c = 0; c < network.channel_count(); ++c) {
+    auto& p = prices_[c];
+    const auto& ch = network.channel(c);
+    const double capacity_tokens = common::to_tokens(ch.capacity());
+    const double required =
+        (p.arrived_tokens[0] + p.arrived_tokens[1]) * scale;
+    const double cap = std::max(capacity_tokens, 1e-9);
+    p.lambda = std::clamp(
+        p.lambda + config_.kappa * (required - capacity_tokens) / cap, 0.0,
+        config_.max_price);
+    // Imbalance urgency: the same net drain matters in proportion to the
+    // funds remaining on the side being drained - the quantity the balance
+    // constraint (eq. 19) ultimately protects. The cap/3 ceiling engages
+    // the brake while headroom still exists (a side holding most of the
+    // channel is not "safe" if the drain rate empties it within seconds).
+    const double imbalance_tokens = p.arrived_tokens[0] - p.arrived_tokens[1];
+    const double floor_tokens = 0.01 * cap;
+    const double draining_side = common::to_tokens(
+        ch.available(imbalance_tokens >= 0 ? pcn::Direction::kForward
+                                           : pcn::Direction::kBackward));
+    const double normaliser =
+        std::clamp(draining_side, floor_tokens, cap / 3.0);
+    const double urgency = imbalance_tokens / normaliser;
+    p.mu[0] = std::clamp(p.mu[0] + config_.eta * urgency, 0.0, config_.max_price);
+    p.mu[1] = std::clamp(p.mu[1] - config_.eta * urgency, 0.0, config_.max_price);
+    p.lambda *= config_.price_decay;
+    p.mu[0] *= config_.price_decay;
+    p.mu[1] *= config_.price_decay;
+    p.arrived_tokens[0] = 0.0;
+    p.arrived_tokens[1] = 0.0;
+    // Mirror into the flat per-direction array read by probes and fee
+    // schedules until the next tick (prices only change here).
+    price_flat_[2 * c] = channel_price(c, pcn::Direction::kForward);
+    price_flat_[2 * c + 1] = channel_price(c, pcn::Direction::kBackward);
   }
-  return p.lambda != 0.0 || p.mu[0] != 0.0 || p.mu[1] != 0.0;
 }
 
 double RateRouterBase::channel_price(ChannelId channel, pcn::Direction d) const {
@@ -296,235 +196,31 @@ double RateRouterBase::fee_rate(ChannelId channel, pcn::Direction d) const {
   return fee_from_price(channel_price(channel, d));
 }
 
+double RateRouterBase::path_price(const PathState& path) const {
+  double price = 0.0;
+  for (const std::uint32_t idx : path.hop_index) price += price_flat_[idx];
+  return price * (1.0 + config_.t_fee);
+}
+
 void RateRouterBase::probe_pairs(Engine& engine) {
-  if (full_recompute_) {
-    for (auto& [pair, state] : pairs_) probe_one_pair(engine, pair, state);
-    return;
-  }
-  // Decay wake-ups due this tick. Each is re-validated against the fresh
-  // flat prices: a pair whose probe is still a provable identity re-arms
-  // under the same epoch (its subscriptions stay valid), the rest join
-  // the sweep below. Pop order cannot reach the event stream — a woken
-  // pair is probed by the key-ordered sweep like any other.
-  while (!wake_heap_.empty() && wake_heap_.front().tick <= tick_) {
-    std::pop_heap(wake_heap_.begin(), wake_heap_.end());
-    const WakeEntry entry = wake_heap_.back();
-    wake_heap_.pop_back();
-    PairState* ps = entry.pair;
-    if (ps->awake || ps->sleep_epoch != entry.epoch) continue;
-    std::uint64_t rearm = 0;
-    if (sleeping_probe_is_identity(*ps, rearm) && rearm != 0) {
-      wake_heap_.push_back(WakeEntry{rearm, entry.key, entry.pair, entry.epoch});
-      std::push_heap(wake_heap_.begin(), wake_heap_.end());
-    } else {
-      wake_pair(*ps);
+  // pairs_ is ordered, so the drip events this sweep schedules come out in
+  // the sorted pair order the frozen event stream was recorded with.
+  for (auto& [pair, state] : pairs_) {
+    // Probe messages are only sent on paths that carry or await traffic,
+    // but the rate state always integrates the latest prices.
+    bool active = !state.demands.empty();
+    for (const auto& path : state.paths) active = active || path.outstanding > 0;
+    const double total_rate = std::max(total_pair_rate(state), 1e-9);
+    for (std::size_t i = 0; i < state.paths.size(); ++i) {
+      auto& path = state.paths[i];
+      if (active) engine.counters().probe_messages += path.full_path.edges.size();
+      // Eq. (26): r_p += alpha (U'(r) - rho_p) with U = log.
+      const double gradient = 1.0 / total_rate - path_price(path);
+      path.rate_tps = std::clamp(path.rate_tps + config_.alpha * gradient,
+                                 config_.min_rate_tps, config_.max_rate_tps);
+      if (!state.demands.empty()) schedule_drip(engine, pair, i);
     }
   }
-  // Sweep the awake pairs in ascending key order — the full sweep's order
-  // over the sorted map, restricted to pairs whose probe can differ from
-  // an identity. Sleeping pairs have no demands and nothing outstanding,
-  // so the full sweep would schedule no drips and count no probe messages
-  // for them either: the drip events this sweep schedules are the
-  // identical subsequence of the frozen event stream.
-  const std::size_t swept = active_pairs_.size();
-  if (swept > engine.metrics().active_pairs_peak) {
-    engine.metrics().active_pairs_peak = swept;
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < swept; ++i) {
-    PairState* ps = active_pairs_[i];
-    if (!ps->awake) continue;  // defensive: pairs only sleep inside probes
-    probe_one_pair(engine, ps->key, *ps);
-    if (ps->awake) active_pairs_[kept++] = ps;
-  }
-  // SPLICER_LINT_ALLOW(hotpath-alloc): compaction shrink — kept <= size(),
-  // so this resize never reallocates.
-  active_pairs_.resize(kept);
-}
-
-void RateRouterBase::probe_one_pair(Engine& engine, const PairKey& pair,
-                                    PairState& state) {
-  // Probe messages are only sent on paths that carry or await traffic,
-  // but the rate state always integrates the latest prices.
-  bool active = !state.demands.empty();
-  for (const auto& path : state.paths) active = active || path.outstanding > 0;
-  const double total_rate = std::max(total_pair_rate(state), 1e-9);
-  // Sleep candidate: an inactive pair whose every path's rate update is an
-  // identity pinned at a clamp bound (incremental mode only). Interior
-  // fixed points don't qualify — nothing guarantees the next tick is also
-  // an identity.
-  bool sleepable = !full_recompute_ && !active;
-  bool has_min_pinned = false;
-  double min_pinned_price = 0.0;
-  for (auto& path : state.paths) {
-    // Probe: sum xi along the full path (eq. 25) — flat-array reads in
-    // the same hop order, so the sum is bit-identical to recomputing
-    // each channel price in place. Memoized: when no hop's flat changed
-    // bitwise since the cached sum was taken, re-summing would return
-    // the identical double, so the cache is reused outright.
-    double price;
-    bool reuse =
-        !full_recompute_ && path.price_tick != 0 && !path.hop_index.empty();
-    // Hint first: a path through a hot channel keeps failing on the same
-    // hop, so the common "changed" case costs one load instead of a scan.
-    if (reuse && flat_tick_[path.hop_index[path.memo_hint]] > path.price_tick) {
-      reuse = false;
-    }
-    if (reuse) {
-      for (std::size_t h = 0; h < path.hop_index.size(); ++h) {
-        if (flat_tick_[path.hop_index[h]] > path.price_tick) {
-          path.memo_hint = static_cast<std::uint32_t>(h);
-          reuse = false;
-          break;
-        }
-      }
-    }
-    if (reuse) {
-      price = path.price;
-      ++engine.metrics().probe_sums_reused;
-    } else {
-      price = 0.0;
-      for (const std::uint32_t idx : path.hop_index) price += price_flat_[idx];
-      price *= (1.0 + config_.t_fee);
-      path.price = price;
-    }
-    path.price_tick = tick_;
-    if (active) engine.counters().probe_messages += path.full_path.edges.size();
-    // Eq. (26): r_p += alpha (U'(r) - rho_p) with U = log.
-    const double gradient = 1.0 / total_rate - price;
-    const double next_rate =
-        std::clamp(path.rate_tps + config_.alpha * gradient,
-                   config_.min_rate_tps, config_.max_rate_tps);
-    if (sleepable) {
-      if (next_rate != path.rate_tps) {
-        sleepable = false;
-      } else if (path.rate_tps == config_.min_rate_tps) {
-        if (!has_min_pinned || price < min_pinned_price) {
-          min_pinned_price = price;
-        }
-        has_min_pinned = true;
-      } else if (path.rate_tps != config_.max_rate_tps) {
-        sleepable = false;  // interior identity
-      }
-    }
-    path.rate_tps = next_rate;
-    if (!state.demands.empty()) {
-      schedule_drip(engine, pair, static_cast<std::size_t>(&path - state.paths.data()));
-    }
-  }
-  if (!sleepable) return;
-  // Hysteresis: a pair that just woke keeps probing for a while before it
-  // may sleep again, so oscillation at a wake-trigger threshold (or steady
-  // periodic traffic) cannot thrash the subscription lists — wake_pair
-  // doubles the delay whenever a sleep is cut short. Awake pairs are
-  // always result-correct; this only decides who pays sleep bookkeeping.
-  if (state.last_wake_tick != 0 &&
-      tick_ < state.last_wake_tick + state.resleep_delay) {
-    return;
-  }
-  std::uint64_t wake_tick = 0;
-  if (has_min_pinned) {
-    const std::uint64_t ticks = decay_ticks_until_unpin(min_pinned_price, total_rate);
-    if (ticks == 0) return;  // margin too thin — stay awake, probe next tick
-    wake_tick = tick_ + ticks;
-  }
-  // Sleep. Hop subscriptions wake the pair on any flat change that could
-  // break a pin; a previous sleep's subscriptions (same epoch — the pair
-  // was last woken by a decay re-check that kept it asleep, or never) are
-  // still armed and are not re-appended.
-  state.awake = false;
-  state.last_sleep_tick = tick_;
-  if (state.subs_epoch != state.sleep_epoch) {
-    for (const auto& path : state.paths) {
-      const std::uint8_t mask =
-          path.rate_tps == config_.min_rate_tps ? kWakeOnDrop : kWakeOnRise;
-      for (const std::uint32_t idx : path.hop_index) {
-        sleep_subs_[idx].push_back(SleepSub{&state, state.sleep_epoch, mask});
-      }
-    }
-    state.subs_epoch = state.sleep_epoch;
-  }
-  if (wake_tick != 0) {
-    wake_heap_.push_back(
-        WakeEntry{wake_tick, pack_pair(pair), &state, state.sleep_epoch});
-    std::push_heap(wake_heap_.begin(), wake_heap_.end());
-  }
-}
-
-void RateRouterBase::wake_pair(PairState& state) {
-  if (state.awake) return;
-  state.awake = true;
-  state.last_wake_tick = tick_;
-  // Adaptive hysteresis: a sleep cut short means the sleep/wake
-  // bookkeeping outweighed the skipped probes — back off exponentially.
-  // A sleep that lasted earns the base delay back.
-  if (tick_ < state.last_sleep_tick + 4 * state.resleep_delay) {
-    state.resleep_delay = std::min(2 * state.resleep_delay,
-                                   kMaxResleepDelayTicks);
-  } else {
-    state.resleep_delay = kResleepDelayTicks;
-  }
-  // Invalidates the pair's outstanding subscriptions and wake-heap
-  // entries; they are dropped lazily wherever they are next inspected.
-  ++state.sleep_epoch;
-  const auto pos = std::lower_bound(
-      active_pairs_.begin(), active_pairs_.end(), state.key,
-      [](const PairState* p, const PairKey& key) { return p->key < key; });
-  active_pairs_.insert(pos, &state);
-}
-
-bool RateRouterBase::sleeping_probe_is_identity(const PairState& state,
-                                                std::uint64_t& rearm_tick) const {
-  rearm_tick = 0;
-  // A sleeping pair is inactive by construction — demand admission and TU
-  // retries wake it eagerly — so only the rate identities need
-  // re-checking, with the exact probe expressions.
-  const double total_rate = std::max(total_pair_rate(state), 1e-9);
-  bool has_min_pinned = false;
-  double min_pinned_price = 0.0;
-  for (const auto& path : state.paths) {
-    double price = 0.0;
-    for (const std::uint32_t idx : path.hop_index) price += price_flat_[idx];
-    price *= (1.0 + config_.t_fee);
-    const double gradient = 1.0 / total_rate - price;
-    const double next_rate =
-        std::clamp(path.rate_tps + config_.alpha * gradient,
-                   config_.min_rate_tps, config_.max_rate_tps);
-    if (next_rate != path.rate_tps) return false;
-    if (path.rate_tps == config_.min_rate_tps) {
-      if (!has_min_pinned || price < min_pinned_price) min_pinned_price = price;
-      has_min_pinned = true;
-    } else if (path.rate_tps != config_.max_rate_tps) {
-      return false;
-    }
-  }
-  if (has_min_pinned) {
-    const std::uint64_t ticks = decay_ticks_until_unpin(min_pinned_price, total_rate);
-    if (ticks == 0) return false;
-    rearm_tick = tick_ + ticks;
-  }
-  return true;
-}
-
-std::uint64_t RateRouterBase::decay_ticks_until_unpin(double price,
-                                                      double total_rate) const {
-  // A min-pinned path's update stays an identity while price >= theta =
-  // U'(total) = 1/total (the gradient then points below the clamp floor).
-  // Between wakes every hop flat shrinks by at most the decay factor per
-  // tick — steeper drops and any rise wake the pair through its
-  // subscriptions — so price after k skipped ticks is >= price * decay^k
-  // up to ~1e-12 of accumulated rounding drift. The 2% margin dwarfs that
-  // drift: sleeping n ticks with price * decay^n >= 1.02 * theta can never
-  // skip a tick whose update was not an identity.
-  const double decay = config_.price_decay;
-  if (!(decay > 0.0) || !(decay < 1.0)) return 0;
-  const double theta = 1.0 / total_rate;
-  if (!(price > 0.0) || !(theta > 0.0)) return 0;
-  const double margin = 1.02 * theta;
-  if (!(price > margin)) return 0;
-  const double ticks = std::floor(std::log(price / margin) / -std::log(decay));
-  if (!(ticks >= 2.0)) return 0;  // not worth the heap churn
-  return static_cast<std::uint64_t>(std::min(ticks, 1.0e9));
 }
 
 std::vector<RateRouterBase::PathDiagnostics> RateRouterBase::pair_diagnostics(
@@ -533,14 +229,7 @@ std::vector<RateRouterBase::PathDiagnostics> RateRouterBase::pair_diagnostics(
   const auto it = pairs_.find(PairKey{from, to});
   if (it == pairs_.end()) return out;
   for (const auto& path : it->second.paths) {
-    // The probe price is recomputed from the flat mirror instead of read
-    // from the memo cache: identical bits when the cache is fresh (it was
-    // summed from these exact flats) and current for pairs the incremental
-    // sweep is holding asleep.
-    double price = 0.0;
-    for (const std::uint32_t idx : path.hop_index) price += price_flat_[idx];
-    price *= (1.0 + config_.t_fee);
-    out.push_back(PathDiagnostics{path.rate_tps, path.window, price,
+    out.push_back(PathDiagnostics{path.rate_tps, path.window, path_price(path),
                                   path.outstanding, path.full_path.edges.size()});
   }
   return out;
@@ -704,7 +393,6 @@ void RateRouterBase::on_tu_failed(Engine& engine, const TransactionUnit& tu,
   const auto* payment_state = engine.find_payment_state(tu.payment);
   if (payment_state != nullptr && payment_state->active() &&
       engine.now() < payment_state->payment.deadline) {
-    wake_pair(state);  // the retried demand re-activates the pair
     state.demands.push_front(DemandEntry{tu.payment, tu.value});
   }
   for (std::size_t i = 0; i < state.paths.size(); ++i) {
@@ -727,7 +415,6 @@ void RateRouterBase::on_tu_forwarded(Engine& engine, const TransactionUnit& tu,
   // m_a accumulation for eq. (22): value arriving into this direction.
   prices_.at(channel).arrived_tokens[pcn::dir_index(direction)] +=
       common::to_tokens(tu.hop_amounts[tu.next_hop]);
-  activate_channel(channel);  // arrivals make the next price update non-trivial
 }
 
 }  // namespace splicer::routing

@@ -69,6 +69,12 @@ struct RateProtocolConfig {
   /// global view (Splicer); disabling it shifts congestion handling onto
   /// the in-network waiting queues (Table II scheduling rows, ablations).
   bool source_gating = true;
+
+  /// Throws std::invalid_argument unless tau is finite and > 0, 0 <
+  /// price_decay <= 1, every min/max pair (rate, window, TU) is ordered and
+  /// k_paths >= 1. A non-positive tau would re-arm the price tick at the
+  /// same instant forever.
+  void validate() const;
 };
 
 /// Base router implementing the full rate/window protocol. Subclasses bind
@@ -112,12 +118,6 @@ class RateRouterBase : public Router {
   };
   [[nodiscard]] std::vector<PathDiagnostics> pair_diagnostics(NodeId from,
                                                               NodeId to) const;
-
-  /// One price-update + probe round, exactly as the recurring tau timer
-  /// runs it (minus the subclass on_tick hook). Public for the rate-tick
-  /// microbenchmark, which drives ticks directly at controlled
-  /// dirty-channel fractions; simulations never call this.
-  void run_protocol_tick(Engine& engine);
 
  protected:
   /// Endpoints between which the k-path set is computed. For Splicer these
@@ -185,7 +185,6 @@ class RateRouterBase : public Router {
     std::vector<std::uint32_t> hop_index;
     double rate_tps = 0.0;
     double window = 0.0;
-    double price = 0.0;       // rho_p from the latest probe
     std::size_t outstanding = 0;
     // Pacing state: the earliest next send is last_send +
     // last_tu_tokens / *current* rate, re-evaluated at drip time so a
@@ -194,16 +193,6 @@ class RateRouterBase : public Router {
     double last_tu_tokens = 0.0;
     double hold_until = 0.0;  // source-gating backoff
     bool drip_scheduled = false;
-    /// Tick at which `price` was last computed (0 = never). The cached sum
-    /// is reusable while no hop's flat price changed bitwise after that
-    /// tick (flat_tick_); reuse returns the identical double, so probes
-    /// stay bit-identical to an unconditional re-sum.
-    std::uint64_t price_tick = 0;
-    /// Position (into hop_index) of the hop that last broke memo reuse,
-    /// checked first on the next probe: a path crossing a hot channel
-    /// fails its memo check in one load instead of re-scanning every
-    /// hop's change tick alongside the re-sum it can't avoid anyway.
-    std::uint32_t memo_hint = 0;
 
     [[nodiscard]] double earliest_send(double min_rate) const {
       const double rate = rate_tps > min_rate ? rate_tps : min_rate;
@@ -218,41 +207,6 @@ class RateRouterBase : public Router {
   struct PairState {
     std::vector<PathState> paths;
     std::deque<DemandEntry> demands;
-    std::size_t round_robin_cursor = 0;
-    /// Own key, mirrored from the pairs_ map so the active list can sort
-    /// and the wake machinery can name the pair without a reverse lookup.
-    PairKey key{};
-    /// Active-pair scheduling (incremental mode only; full-recompute
-    /// sweeps the whole map and never touches these). A pair sleeps when
-    /// its per-tick probe is a provable identity: no demands, nothing
-    /// outstanding, and every path's rate pinned at a clamp bound with a
-    /// price that keeps it pinned. It wakes on new demand, on a TU retry,
-    /// on any non-decay price change of an incident channel (sleep_subs_),
-    /// or at a conservatively precomputed decay tick (wake_heap_).
-    bool awake = true;
-    /// Bumped by every wake: stale sleep subscriptions and wake-heap
-    /// entries (issued under an older epoch) are dropped lazily on
-    /// inspection instead of being hunted down eagerly.
-    std::uint64_t sleep_epoch = 0;
-    /// Epoch under which the hop subscriptions were last registered; a
-    /// decay re-check that leaves the pair asleep keeps the epoch, so the
-    /// existing subscriptions stay valid and are not re-appended.
-    std::uint64_t subs_epoch = ~std::uint64_t{0};
-    /// Tick of the last wake. Re-sleeping is deferred (resleep_delay
-    /// ticks) after a wake so a pair oscillating at a trigger threshold
-    /// probes normally instead of thrashing the subscription lists —
-    /// staying awake is always result-identical, only slower.
-    std::uint64_t last_wake_tick = 0;
-    /// Tick at which the pair last fell asleep (0 = never slept).
-    std::uint64_t last_sleep_tick = 0;
-    /// Adaptive hysteresis: doubled every time a sleep is cut short (the
-    /// wake came within 4x the current delay), reset after a sleep that
-    /// lasted. Pairs with steady periodic traffic quickly stop paying the
-    /// sleep/wake bookkeeping (subscription registration, sorted insert)
-    /// for probe skips they never collect; genuinely idle pairs sleep once
-    /// and stay asleep. A scheduling heuristic only — results don't
-    /// depend on it (asleep or awake, the pair's updates are identities).
-    std::uint64_t resleep_delay = kResleepDelayTicks;
   };
 
   // Typed timer dispatch (Engine::schedule_timer): drip timers pack the
@@ -271,40 +225,13 @@ class RateRouterBase : public Router {
 
   void admit_demand(Engine& engine, const pcn::Payment& payment);
   PairState* ensure_pair(Engine& engine, const PairKey& pair);
+  /// One price-update + probe round: the body of the recurring tau timer
+  /// (minus the subclass on_tick hook).
+  void run_protocol_tick(Engine& engine);
+  /// Eqs. (21)-(22) over every channel, then the flat price mirror.
   void update_prices(Engine& engine);
+  /// Eqs. (25)-(26) over every pair, in pairs_ order.
   void probe_pairs(Engine& engine);
-
-  // ---- Incremental tick machinery (bit-identical to the full sweep) ----
-  /// Applies eqs. (21)-(22) to one channel (the full sweep's loop body).
-  /// Returns whether the channel still carries price state (any of
-  /// lambda/mu nonzero) — an all-zero channel's next update is an exact
-  /// identity (required == 0, urgency == 0, clamps pin at 0.0, flats stay
-  /// 0.0 bitwise), so it can be retired from the active set until a new
-  /// arrival or balance move re-activates it.
-  bool update_channel_price(Engine& engine, ChannelId c);
-  /// Adds a channel to the incremental update set (idempotent).
-  void activate_channel(ChannelId c) {
-    if (full_recompute_ || channel_active_[c] != 0) return;
-    channel_active_[c] = 1;
-    active_channels_.push_back(c);
-  }
-  /// Re-inserts a sleeping pair into the probe sweep (idempotent). Bumps
-  /// sleep_epoch, invalidating its subscriptions and wake-heap entries.
-  void wake_pair(PairState& state);
-  /// Probes one pair (the full sweep's loop body) and, in incremental
-  /// mode, evaluates the sleep condition afterwards.
-  void probe_one_pair(Engine& engine, const PairKey& pair, PairState& state);
-  /// Decay re-check for a heap-woken pair: true iff this tick's probe is
-  /// still an identity (prices haven't decayed past any clamp threshold),
-  /// in which case `rearm_tick` holds the next conservative wake tick
-  /// (0 = none needed).
-  [[nodiscard]] bool sleeping_probe_is_identity(const PairState& state,
-                                                std::uint64_t& rearm_tick) const;
-  /// Conservative tick count for which a min-pinned path of total rate
-  /// `total_rate` provably stays pinned while `price` decays by at most
-  /// factor price_decay per tick; 0 when no safe margin exists.
-  [[nodiscard]] std::uint64_t decay_ticks_until_unpin(double price,
-                                                      double total_rate) const;
   void schedule_drip(Engine& engine, const PairKey& pair, std::size_t path_index);
   void try_send(Engine& engine, const PairKey& pair, std::size_t path_index);
   [[nodiscard]] double total_pair_rate(const PairState& pair) const;
@@ -324,6 +251,9 @@ class RateRouterBase : public Router {
   [[nodiscard]] double fee_from_price(double price) const noexcept {
     return std::min(config_.fee_rate_cap, config_.t_fee * price);
   }
+  /// Probe price rho_p of a path (eq. 25): the flat hop prices summed in
+  /// hop order, times (1 + T_fee).
+  [[nodiscard]] double path_price(const PathState& path) const;
 
   /// O(1) pair lookup for the per-TU paths (drips, sends, delivery acks).
   /// pairs_ stays an ordered map because probe_pairs' iteration order
@@ -340,69 +270,6 @@ class RateRouterBase : public Router {
   /// each tick (prices only change there): probe/fee sums become flat-array
   /// reads, bit-identical to recomputing the price per visit.
   std::vector<double> price_flat_;
-
-  // ---- Incremental tick state (inert when full_recompute_) -------------
-  /// Mirror of EngineConfig::full_recompute_ticks, latched at on_start.
-  bool full_recompute_ = false;
-  /// Protocol tick counter (first tick = 1; 0 is the "never" sentinel for
-  /// price_tick/flat_tick_).
-  std::uint64_t tick_ = 0;
-  /// Tick at which each directed channel's flat price last changed
-  /// bitwise — the staleness clock for memoized path price sums.
-  std::vector<std::uint64_t> flat_tick_;
-  /// Channels whose price state may be nonzero, i.e. whose per-tick update
-  /// is not a provable identity. Flag vector + compacting visit list;
-  /// entries retire when their post-update state is exactly zero.
-  std::vector<char> channel_active_;
-  std::vector<ChannelId> active_channels_;
-  /// Awake pairs in ascending PairKey order — the probe sweep's iteration
-  /// set. The order matches the full sweep over the ordered pairs_ map, so
-  /// the drip events it schedules form the identical subsequence of the
-  /// frozen event stream. Compacted in place as pairs fall asleep; wakes
-  /// insert at the sorted position. Single-owner state of the router tick
-  /// (writer-lanes lint rule).
-  std::vector<PairState*> active_pairs_;
-  /// Wake masks for sleep subscriptions: which kind of flat-price change
-  /// breaks the subscribing path's pin. A min-pinned path tolerates pure
-  /// decay (the wake heap bounds that) but not a steeper drop; a
-  /// max-pinned path tolerates any drop but no rise.
-  static constexpr std::uint8_t kWakeOnDrop = 1;
-  static constexpr std::uint8_t kWakeOnRise = 2;
-  /// Base ticks a freshly woken pair stays in the sweep before it may
-  /// sleep again (anti-thrash hysteresis; see PairState::resleep_delay
-  /// for the adaptive doubling and kMaxResleepDelayTicks for the cap).
-  static constexpr std::uint64_t kResleepDelayTicks = 4;
-  static constexpr std::uint64_t kMaxResleepDelayTicks = 1024;
-  /// Per-directed-channel sleep subscriptions (indexed like price_flat_):
-  /// sleeping pairs to wake when this flat price changes in a way their
-  /// mask cares about. Triggered entries and entries from older sleep
-  /// epochs are dropped at inspection time.
-  struct SleepSub {
-    /// Direct pointer — pairs_ map nodes are pointer-stable and never
-    /// erased, and waking is order-insensitive (a set-union of awake
-    /// flags; the sweep order comes from the key-sorted active list), so
-    /// no hash lookup is needed on the flat-change hot path.
-    PairState* pair = nullptr;
-    std::uint64_t epoch = 0;  // valid iff == the pair's sleep_epoch
-    std::uint8_t mask = 0;    // kWakeOnDrop / kWakeOnRise
-  };
-  std::vector<std::vector<SleepSub>> sleep_subs_;
-  /// Min-heap (by tick, then key) of conservative decay wake-ups for
-  /// min-pinned sleeping pairs. Entries are re-validated on pop — a pair
-  /// still provably pinned just re-arms under the same epoch.
-  struct WakeEntry {
-    std::uint64_t tick = 0;
-    std::uint64_t key = 0;  // pack_pair key — ordering only, never deref'd
-    PairState* pair = nullptr;  // stable node pointer (pairs_ never erases)
-    std::uint64_t epoch = 0;
-    /// Min-heap ordering: std::push_heap keeps the *greatest* on top, so
-    /// "greater" entries (later ticks) sink. The packed key breaks ties so
-    /// heap shape never depends on pointer values.
-    friend bool operator<(const WakeEntry& a, const WakeEntry& b) noexcept {
-      return a.tick != b.tick ? a.tick > b.tick : a.key > b.key;
-    }
-  };
-  std::vector<WakeEntry> wake_heap_;
 
   std::map<PairKey, PairState> pairs_;
   // SPLICER_LINT_ALLOW(unordered-decl): keyed O(1) lookup cache over pairs_;

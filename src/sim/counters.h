@@ -12,10 +12,7 @@ struct MessageCounters {
   std::uint64_t data_hops = 0;        // one TU crossing one channel
   std::uint64_t ack_messages = 0;     // per-hop acknowledgments
   /// Price probes, one per hop of each probed path. Counted only for
-  /// pairs with traffic (demands queued or TUs outstanding) — a pair the
-  /// incremental tick holds asleep is by definition traffic-free, so both
-  /// tick modes count the exact same probes (memoized path-price sums
-  /// reuse a cached double, never skip the counting).
+  /// pairs with traffic (demands queued or TUs outstanding).
   std::uint64_t probe_messages = 0;
   std::uint64_t sync_messages = 0;    // hub<->hub epoch synchronisation
   std::uint64_t control_messages = 0; // payreq, key fetch, receipts, misc

@@ -95,6 +95,9 @@ bool Scheduler::cancel(EventId id) {
 // SPLICER_LINT_ALLOW(std-function): definition of the documented periodic-
 // tick fallback variant declared in scheduler.h; not on the hot path.
 void Scheduler::every(Time period, std::function<bool()> callback) {
+  // A zero, negative or NaN period would re-arm at the same instant
+  // forever, so run(until) could never advance the clock.
+  if (!(period > 0)) throw std::invalid_argument("Scheduler::every: period <= 0");
   after(period, [this, period, cb = std::move(callback)]() mutable {
     if (cb()) every(period, std::move(cb));
   });

@@ -63,7 +63,7 @@ class Scheduler {
   bool cancel(EventId id);
 
   /// Schedules `callback` every `period` seconds starting at now+period,
-  /// until it returns false.
+  /// until it returns false. Throws std::invalid_argument unless period > 0.
   // SPLICER_LINT_ALLOW(std-function): periodic ticks fire a handful of times
   // per simulated second — the documented fallback variant, not the hot path.
   void every(Time period, std::function<bool()> callback);

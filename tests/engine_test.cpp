@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "graph/generators.h"
 
 namespace splicer::routing {
@@ -396,6 +399,27 @@ TEST(Engine, UnknownPaymentIdStillThrowsWithRetentionOn) {
   const auto m = engine.run();
   EXPECT_EQ(m.payments_failed, 1u);
   EXPECT_EQ(m.states_evicted, 0u);
+}
+
+TEST(Engine, ConstructorRejectsInvalidConfig) {
+  ScriptedRouter router([](Engine&, const pcn::Payment&) {});
+  const auto build = [&](auto set) {
+    EngineConfig config;
+    set(config);
+    Engine engine(line_network(), {make_payment(1, 0, 2, whole_tokens(1))},
+                  router, config);
+  };
+  // A negative epoch used to run exact mode silently through the `> 0`
+  // tests that select batched settlement.
+  EXPECT_THROW(build([](EngineConfig& c) { c.settlement_epoch_s = -0.005; }),
+               std::invalid_argument);
+  EXPECT_THROW(build([](EngineConfig& c) { c.settlement_epoch_s = std::nan(""); }),
+               std::invalid_argument);
+  EXPECT_THROW(build([](EngineConfig& c) { c.hop_delay_s = -1.0; }),
+               std::invalid_argument);
+  EXPECT_THROW(build([](EngineConfig& c) { c.process_rate_tokens_per_s = 0.0; }),
+               std::invalid_argument);
+  EXPECT_NO_THROW(build([](EngineConfig& c) { c.settlement_epoch_s = 0.01; }));
 }
 
 }  // namespace

@@ -148,16 +148,6 @@ TEST(LintWriterLanes, FlagsMailboxStateOutsideOwner) {
   EXPECT_EQ(line_rules(findings), expected);
 }
 
-TEST(LintWriterLanes, FlagsRateRouterActiveSetOutsideOwner) {
-  const std::string src = read_fixture("active_list.cpp");
-  const auto findings = lint_source("src/routing/fixture.cpp", src);
-  const std::vector<LineRule> expected = {{7, "writer-lanes"},
-                                          {8, "writer-lanes"},
-                                          {9, "writer-lanes"},
-                                          {10, "writer-lanes"}};
-  EXPECT_EQ(line_rules(findings), expected);
-}
-
 TEST(LintWriterLanes, FlagsMutationStateOutsideOwner) {
   const std::string src = read_fixture("mutation_lanes.cpp");
   const auto findings = lint_source("src/routing/fixture.cpp", src);
@@ -174,9 +164,6 @@ TEST(LintWriterLanes, OwningComponentIsExempt) {
                   .empty());
   EXPECT_TRUE(lint_source("src/routing/engine.cpp",
                           "void f() { handoff_inbox_.clear(); }\n")
-                  .empty());
-  EXPECT_TRUE(lint_source("src/routing/rate_protocol.cpp",
-                          "void f() { active_pairs_.clear(); }\n")
                   .empty());
   EXPECT_TRUE(lint_source("src/routing/engine.cpp",
                           "void f() { staged_mutations_[0].reset(); }\n")

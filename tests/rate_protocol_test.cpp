@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "graph/generators.h"
+#include "routing/experiment.h"
+#include "routing/spider_router.h"
 #include "routing/splicer_router.h"
 
 namespace splicer::routing {
@@ -201,6 +207,75 @@ TEST(RateProtocol, SourceGatingPreventsWastedLocks) {
   const auto m = engine.run();
   EXPECT_EQ(m.payments_completed, 0u);
   EXPECT_EQ(m.tus_failed, 0u);  // nothing ever locked and died downstream
+}
+
+TEST(RateProtocol, ConfigValidation) {
+  EXPECT_NO_THROW(RateProtocolConfig{}.validate());
+  const auto invalid = [](auto set) {
+    RateProtocolConfig config;
+    set(config);
+    EXPECT_THROW(config.validate(), std::invalid_argument);
+  };
+  invalid([](RateProtocolConfig& c) { c.tau_s = 0.0; });
+  invalid([](RateProtocolConfig& c) { c.tau_s = -0.2; });
+  invalid([](RateProtocolConfig& c) { c.tau_s = std::numeric_limits<double>::infinity(); });
+  invalid([](RateProtocolConfig& c) { c.price_decay = 0.0; });
+  invalid([](RateProtocolConfig& c) { c.price_decay = 1.5; });
+  invalid([](RateProtocolConfig& c) { c.min_rate_tps = c.max_rate_tps + 1.0; });
+  invalid([](RateProtocolConfig& c) { c.min_window = c.max_window + 1.0; });
+  invalid([](RateProtocolConfig& c) { c.min_tu = c.max_tu + 1; });
+  invalid([](RateProtocolConfig& c) { c.k_paths = 0; });
+}
+
+TEST(RateProtocol, ZeroTauThrowsInsteadOfHanging) {
+  // tau = 0 used to re-arm the price tick at the same instant forever.
+  SpiderRouter::Config config = SpiderRouter::make_default_config();
+  config.protocol.tau_s = 0.0;
+  SpiderRouter router(config);
+  Engine engine(hub_pair_network(), stream(0, 3, whole_tokens(5), 2.0, 2.0),
+                router, EngineConfig{});
+  EXPECT_THROW((void)engine.run(), std::invalid_argument);
+}
+
+// Pinned outcomes of a 60-node scenario under exact (epoch 0) and batched
+// (10 ms epoch) settlement. The frozen fig7 baseline covers epoch 0 only;
+// these values also pin the price/probe tick on the batched path.
+TEST(RateProtocol, GoldenOutcomesAcrossSettlementModes) {
+  ScenarioConfig scenario_config;
+  scenario_config.seed = 7;
+  scenario_config.topology.nodes = 60;
+  scenario_config.placement.candidate_count = 6;
+  scenario_config.workload.payment_count = 250;
+  scenario_config.workload.horizon_seconds = 12.0;
+  const auto scenario = prepare_scenario(scenario_config);
+
+  struct Golden {
+    Scheme scheme;
+    double epoch_s;
+    std::size_t payments_completed;
+    Amount value_completed;
+    std::uint64_t tus_sent;
+    std::uint64_t scheduler_events;
+    std::uint64_t messages;
+  };
+  const Golden kGolden[] = {
+      {Scheme::kSplicer, 0.0, 221, 11297072, 3924, 33469, 29068},
+      {Scheme::kSplicer, 0.01, 218, 11143054, 3853, 16408, 28416},
+      {Scheme::kSpider, 0.0, 170, 4855386, 3396, 29213, 58999},
+      {Scheme::kSpider, 0.01, 170, 4855386, 3396, 13500, 58994},
+  };
+  for (const auto& g : kGolden) {
+    SchemeConfig config;
+    config.engine.settlement_epoch_s = g.epoch_s;
+    const auto m = run_scheme(scenario, g.scheme, config);
+    const std::string where =
+        std::string(to_string(g.scheme)) + " epoch=" + std::to_string(g.epoch_s);
+    EXPECT_EQ(m.payments_completed, g.payments_completed) << where;
+    EXPECT_EQ(m.value_completed, g.value_completed) << where;
+    EXPECT_EQ(m.tus_sent, g.tus_sent) << where;
+    EXPECT_EQ(m.scheduler_events, g.scheduler_events) << where;
+    EXPECT_EQ(m.messages.total(), g.messages) << where;
+  }
 }
 
 }  // namespace

@@ -110,6 +110,14 @@ TEST(Scheduler, EveryRepeatsUntilFalse) {
   EXPECT_DOUBLE_EQ(s.now(), 5.0);
 }
 
+TEST(Scheduler, EveryRejectsNonPositivePeriod) {
+  // A zero or negative period would re-arm at the same instant forever.
+  Scheduler s;
+  EXPECT_THROW(s.every(0.0, [] { return true; }), std::invalid_argument);
+  EXPECT_THROW(s.every(-0.2, [] { return true; }), std::invalid_argument);
+  EXPECT_TRUE(s.empty());
+}
+
 TEST(Scheduler, PendingCountsLiveEvents) {
   Scheduler s;
   EXPECT_TRUE(s.empty());

@@ -5,6 +5,10 @@
 # suite, then re-run the fast `smoke` label on its own so the cheap-suite
 # subset is exercised exactly as developers use it.
 #
+# The perfbench smoke test then builds the repository benchmark from source
+# and runs every workload at tiny sizes, so a src change that breaks the
+# benchmark binary (or its output checks) fails CI.
+#
 # After the unit suites, the fig7 bench runs in its smoke configuration
 # three times to pin the batched-settlement contract:
 #   1. --threads 1, epoch 0   -> the sequential baseline CSVs, which must
@@ -100,6 +104,9 @@ fi
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" -L smoke -j "$JOBS"
 
+echo "CI: perfbench smoke test (benchmark builds and checks its outputs)"
+python3 perfbench/smoke_test.py
+
 SMOKE_DIR="$BUILD_DIR/fig7-smoke"
 rm -rf "$SMOKE_DIR"
 mkdir -p "$SMOKE_DIR/baseline" "$SMOKE_DIR/epoch0"
@@ -116,18 +123,6 @@ SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/epoch0" \
   "$BUILD_DIR/bench_fig7_small_scale" --settlement-epoch 0 > "$SMOKE_DIR/epoch0.txt"
 diff -r "$SMOKE_DIR/baseline" "$SMOKE_DIR/epoch0"
 
-echo "CI: fig7 smoke, forced full-recompute ticks (must match incremental)"
-# The default run above used the incremental rate-control tick
-# (dirty-channel price updates, memoized probe sums, sleeping pairs);
-# SPLICER_FULL_RECOMPUTE=1 forces the legacy full per-tick sweep. The two
-# modes must produce byte-identical CSVs — the incremental tick is a pure
-# wall-time optimisation.
-mkdir -p "$SMOKE_DIR/fullticks"
-SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/fullticks" \
-  SPLICER_FULL_RECOMPUTE=1 \
-  "$BUILD_DIR/bench_fig7_small_scale" --threads 1 > "$SMOKE_DIR/fullticks.txt"
-diff -r "$SMOKE_DIR/baseline" "$SMOKE_DIR/fullticks"
-
 echo "CI: fig7 smoke, batched settlement (epoch 10 ms)"
 SPLICER_BENCH_FAST=1 \
   "$BUILD_DIR/bench_fig7_small_scale" --settlement-epoch 10 > "$SMOKE_DIR/epoch10.txt"
@@ -140,12 +135,6 @@ echo "CI: engine hot-path microbench (archives BENCH_engine_hotpath.json)"
 grep -q '"events_per_sec"' "$BUILD_DIR/BENCH_engine_hotpath.json"
 grep -q '"shard_sweep"' "$BUILD_DIR/BENCH_engine_hotpath.json"
 grep -q '"projected_speedup"' "$BUILD_DIR/BENCH_engine_hotpath.json"
-# The incremental rate-control tick must actually be doing its job: at
-# least one rate scheme row carries nonzero skipped-update / reused-sum
-# counters (all zero would mean the fast path silently degraded to the
-# full sweep).
-grep -q '"price_updates_skipped": [1-9]' "$BUILD_DIR/BENCH_engine_hotpath.json"
-grep -q '"probe_sums_reused": [1-9]' "$BUILD_DIR/BENCH_engine_hotpath.json"
 
 echo "CI: sharded engine CLI smoke (--shards 4)"
 "$BUILD_DIR/splicer_cli" compare --nodes 60 --payments 300 --shards 4 \

@@ -41,6 +41,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <map>
 #include <string>
@@ -393,10 +394,17 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const Args args(argc, argv);
-  if (command == "compare") return cmd_compare(args);
-  if (command == "place") return cmd_place(args);
-  if (command == "workflow") return cmd_workflow(args);
-  if (command == "topology") return cmd_topology(args);
+  // Invalid configs (bad --tau, --settlement-epoch, workload knobs...) throw
+  // from their validate(); report them instead of aborting.
+  try {
+    if (command == "compare") return cmd_compare(args);
+    if (command == "place") return cmd_place(args);
+    if (command == "workflow") return cmd_workflow(args);
+    if (command == "topology") return cmd_topology(args);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
   usage();
   return 2;
 }

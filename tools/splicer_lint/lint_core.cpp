@@ -584,9 +584,6 @@ void check_writer_lanes(std::string_view path,
       {R"(\b(handoff_inbox_|result_inbox_|injected_arrivals_)\b)",
        "Engine cross-shard inbox state",
        "src/routing/engine.h", "src/routing/engine.cpp"},
-      {R"(\b(active_pairs_|active_channels_|sleep_subs_|wake_heap_)\b)",
-       "rate-router active-set scheduling state",
-       "src/routing/rate_protocol.h", "src/routing/rate_protocol.cpp"},
       {R"(\b(staged_mutations_|mutators_|node_down_depth_|channel_close_depth_)\b)",
        "Engine hostile-world mutation state",
        "src/routing/engine.h", "src/routing/engine.cpp"},

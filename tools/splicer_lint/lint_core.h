@@ -42,7 +42,7 @@
 //                    send_tu must never be dispatched from inside
 //                    on_tu_forwarded (whose TU aliases the live_ slab).
 //   writer-lanes     single-writer mailbox state (ShardedScheduler lanes,
-//                    Engine cross-shard inboxes, rate-router active sets)
+//                    Engine cross-shard inboxes, Engine mutation state)
 //                    is mutated only inside its owning component's
 //                    translation units.
 //

@@ -189,10 +189,6 @@ void check_writer_lanes_transitive(const CallGraph& graph,
        "src/routing/engine.cpp",
        {"deliver_handoff", "deliver_result", "inject_arrival",
         "handle_event"}},
-      {R"(\b(active_pairs_|active_channels_|sleep_subs_|wake_heap_)\b)",
-       "rate-router active-set scheduling state", "src/routing/rate_protocol.h",
-       "src/routing/rate_protocol.cpp",
-       {"on_timer", "on_start", "run_protocol_tick"}},
   };
 
   const std::vector<FunctionDef>& funcs = graph.functions();

@@ -7,12 +7,11 @@
 //
 //   writer-lanes-transitive  lane/mailbox ownership propagates through the
 //            call graph: a helper that touches single-writer state
-//            (ShardedScheduler lanes, Engine cross-shard inboxes, the
-//            rate-router active sets) makes every caller a writer, and a
-//            caller outside the owning component is flagged at the call
-//            site. The owning component's sanctioned entry APIs
-//            (post / deliver_* / inject_arrival, activate_channel /
-//            wake_pair / mark_channel_dirty) are the one legal crossing.
+//            (ShardedScheduler lanes, Engine cross-shard inboxes) makes
+//            every caller a writer, and a caller outside the owning
+//            component is flagged at the call site. The owning component's
+//            sanctioned entry APIs (post / deliver_* / inject_arrival) are
+//            the one legal crossing.
 //   hotpath-alloc  no new / make_unique / make_shared, no std container or
 //            std::string construction, and no reserve/resize in any
 //            function reachable from the hot event-loop entry points
