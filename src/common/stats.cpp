@@ -25,28 +25,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  // SPLICER_LINT_ALLOW(float-order): every caller merges in a fixed index
-  // order — shard results are folded 0..N-1 and trial stats are folded in
-  // trial order — so this Chan-style combine sees operands in the same
-  // sequence on every run and the gates see identical bits.
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double student_t95(std::size_t df) noexcept {
   if (df == 0) return 0.0;
   // Two-sided 95% Student t quantiles for df = 1..30.

@@ -25,9 +25,6 @@ class RunningStats {
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
 
-  /// Merges another accumulator (parallel Welford combination).
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

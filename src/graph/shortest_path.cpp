@@ -17,8 +17,8 @@ using HeapItem = std::pair<double, NodeId>;  // (dist, node)
 /// dominant cache-miss source in the k-path relaxation loops. Halves are
 /// appended in exactly the adjacency order, so every traversal sees the
 /// identical neighbour sequence — bit-identical results. Thread-local with
-/// a small pool so shard workers alternating between per-shard topologies
-/// (same thread, different engines per barrier window) don't thrash.
+/// a small pool so a thread alternating between topologies (the raw,
+/// multi-star and single-star substrates of one scenario) doesn't thrash.
 struct CsrView {
   std::uint64_t version = 0;  // 0 = empty slot (real versions start at 1)
   std::uint64_t last_used = 0;

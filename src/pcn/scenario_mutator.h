@@ -8,7 +8,7 @@
 // counterpart of pcn::TrafficSource: a pull-based, deterministic stream of
 // typed MutationEvents in nondecreasing time order that the routing engine
 // replays through its scheduler, so mutations compose with any workload
-// (synthetic / trace / bursty / hotspot) and with sharded execution.
+// (synthetic / trace / bursty / hotspot).
 //
 // Implementations:
 //  * NodeFaultMutator   - node failure/recovery with exponential
@@ -28,10 +28,7 @@
 // nondecreasing time; reset(seed) rewinds and re-derives all randomness
 // from `seed` — construct-or-reset with equal seeds yields equal streams.
 // Mutator randomness is seeded from HostileConfig::seed, never from the
-// engine's RNG, so enabling mutators perturbs no workload draw, and every
-// shard of a sharded run rebuilds the identical stream regardless of its
-// per-shard engine seed (mutation streams are bit-identical across shard
-// counts; only their side effects are partitioned by channel ownership).
+// engine's RNG, so enabling mutators perturbs no workload or engine draw.
 
 #include <cstdint>
 #include <memory>
@@ -73,8 +70,7 @@ struct MutationEvent {
 struct HostileConfig {
   /// Seed for the mutation streams. Deliberately separate from
   /// EngineConfig::seed: mutation randomness must not consume engine RNG
-  /// draws, and sharded runs derive per-shard engine seeds while every
-  /// shard must replay the identical mutation stream.
+  /// draws.
   std::uint64_t seed = 0x486f7374696c65ull;  // "Hostile"
 
   // ---- NodeFaultMutator ------------------------------------------------

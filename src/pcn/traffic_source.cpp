@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 #include <utility>
@@ -272,6 +273,8 @@ bool TraceSource::parse_line(const std::string& line, Row& row) const {
   const std::string time_field = line.substr(0, c1);
   row.time = std::strtod(time_field.c_str(), &end);
   if (end == time_field.c_str() || *end != '\0') return false;  // header row
+  // strtod also reads "nan" and "inf": such a row would arrive at no time.
+  if (!std::isfinite(row.time)) return false;
   row.sender = line.substr(c1 + 1, c2 - c1 - 1);
   row.receiver = line.substr(c2 + 1, c3 - c2 - 1);
   if (row.sender.empty() || row.receiver.empty()) return false;
@@ -281,7 +284,12 @@ bool TraceSource::parse_line(const std::string& line, Row& row) const {
   if (end == amount_field.c_str() || (*end != '\0' && *end != '\r')) {
     return false;
   }
-  return row.amount > 0.0;
+  // next() replays common::tokens(amount * value_scale) milli-tokens; a
+  // value that does not fit Amount would make that conversion UB.
+  const double milli = row.amount * config_.value_scale *
+                       static_cast<double>(common::kMilliPerToken);
+  return row.amount > 0.0 &&
+         milli < static_cast<double>(std::numeric_limits<Amount>::max());
 }
 
 std::optional<NodeId> TraceSource::map_endpoint(const std::string& label) {

@@ -178,7 +178,8 @@ class TraceSource final : public TrafficSource {
   void reset(std::uint64_t seed) override;  // seed ignored: replay is fixed
   [[nodiscard]] double horizon_hint() const override { return horizon_; }
 
-  /// Rows dropped so far (malformed, unmappable endpoint, self-pay with a
+  /// Rows dropped so far (malformed, a non-finite time or amount, a scaled
+  /// amount too large for Amount, unmappable endpoint, self-pay with a
   /// single client, or past the horizon clip).
   [[nodiscard]] std::size_t rows_skipped() const noexcept { return skipped_; }
 

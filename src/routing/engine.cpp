@@ -45,40 +45,6 @@ void EngineConfig::validate() const {
   }
 }
 
-void EngineMetrics::merge_from(const EngineMetrics& other) {
-  payments_generated += other.payments_generated;
-  payments_completed += other.payments_completed;
-  payments_failed += other.payments_failed;
-  value_generated += other.value_generated;
-  value_completed += other.value_completed;
-  tus_sent += other.tus_sent;
-  tus_delivered += other.tus_delivered;
-  tus_failed += other.tus_failed;
-  tus_marked += other.tus_marked;
-  for (std::size_t i = 0; i < kFailReasonCount; ++i) {
-    tu_fail_reasons[i] += other.tu_fail_reasons[i];
-    payment_fail_reasons[i] += other.payment_fail_reasons[i];
-  }
-  messages += other.messages;
-  simulated_seconds = std::max(simulated_seconds, other.simulated_seconds);
-  scheduler_events += other.scheduler_events;
-  settlement_flushes += other.settlement_flushes;
-  settlements_batched += other.settlements_batched;
-  peak_payment_buffer += other.peak_payment_buffer;
-  peak_resident_states += other.peak_resident_states;
-  states_evicted += other.states_evicted;
-  completion_delay_stats.merge(other.completion_delay_stats);
-  tus_per_payment_stats.merge(other.tus_per_payment_stats);
-  failed_delivered_value += other.failed_delivered_value;
-  cross_shard_messages += other.cross_shard_messages;
-  shard_barriers += other.shard_barriers;
-  price_updates_skipped += other.price_updates_skipped;
-  probe_sums_reused += other.probe_sums_reused;
-  mutation_events += other.mutation_events;
-  resident_tus_at_end += other.resident_tus_at_end;
-  wedged_queue_value += other.wedged_queue_value;
-}
-
 Engine::Engine(pcn::Network network, std::unique_ptr<pcn::TrafficSource> source,
                Router& router, EngineConfig config)
     : network_(std::move(network)),
@@ -106,17 +72,9 @@ void Engine::handle_event(const sim::EngineEvent& event) {
   using Kind = sim::EngineEvent::Kind;
   switch (event.kind) {
     case Kind::kArrival: {
-      if (staged_arrival_) {
-        const pcn::Payment payment = std::move(*staged_arrival_);
-        staged_arrival_.reset();
-        on_arrival(payment);
-      } else {
-        // Coordinator-injected arrival (N-shard mode): monotone injection
-        // times mean deque order equals event firing order.
-        const pcn::Payment payment = std::move(injected_arrivals_.front());
-        injected_arrivals_.pop_front();
-        on_arrival(payment);
-      }
+      const pcn::Payment payment = std::move(*staged_arrival_);
+      staged_arrival_.reset();
+      on_arrival(payment);
       break;
     }
     case Kind::kDeadline:
@@ -187,18 +145,6 @@ void Engine::handle_event(const sim::EngineEvent& event) {
     case Kind::kRouterTimer:
       router_.on_timer(*this, event.a, event.b);
       break;
-    case Kind::kRemoteHandoff: {
-      TuHandoff msg = std::move(handoff_inbox_.front());
-      handoff_inbox_.pop_front();
-      adopt_tu(std::move(msg));
-      break;
-    }
-    case Kind::kRemoteResult: {
-      TuResult msg = std::move(result_inbox_.front());
-      result_inbox_.pop_front();
-      apply_remote_result(std::move(msg));
-      break;
-    }
     case Kind::kMutation: {
       const auto idx = static_cast<std::size_t>(event.a);
       const pcn::MutationEvent mutation = *staged_mutations_[idx];
@@ -273,10 +219,7 @@ void Engine::finish_run() {
 
 void Engine::init_mutators() {
   if (!config_.hostile.any_mutation_active()) return;
-  // Mutations cover the workload plus the slack tail; in sharded mode
-  // begin_run() runs after bind_shard(), so workload_horizon() already
-  // reflects the real source's hint and every shard derives the identical
-  // stream from the identical horizon.
+  // Mutations cover the workload plus the slack tail.
   const double horizon = workload_horizon() + config_.horizon_slack_s;
   mutators_ = pcn::make_mutators(config_.hostile, network_.node_count(),
                                  network_.channel_count(), horizon);
@@ -329,9 +272,7 @@ void Engine::apply_mutation(const pcn::MutationEvent& event) {
     case Kind::kChannelClose:
       if (channel_close_depth_[event.channel]++ == 0) {
         network_.channel(event.channel).set_closed(true);
-        // Fund-touching side effects run on the owning shard only; every
-        // other shard just flips the flag so path selection agrees.
-        if (!channel_is_remote(event.channel)) on_channel_close(event.channel);
+        on_channel_close(event.channel);
       }
       break;
     case Kind::kChannelReopen:
@@ -381,9 +322,7 @@ void Engine::on_channel_close(ChannelId channel) {
   // Then refund every unresolved resident TU holding a lock on the closed
   // channel. Collect ids before failing any: batched-mode fail_tu erases
   // from live_ and failure callbacks may send new TUs (slab relocation), so
-  // the traversal must see no mutation. TUs that locked this channel but
-  // moved on to another shard resolve through their normal routed acks —
-  // settle/refund stay legal on a closed channel, so they cannot wedge.
+  // the traversal must see no mutation.
   // SPLICER_LINT_ALLOW(hotpath-alloc): churn events are Poisson-rare (zero
   // in benign runs) — never per-TU or per-hop work.
   std::vector<TuId> victims;
@@ -398,110 +337,6 @@ void Engine::on_channel_close(ChannelId channel) {
     }
   });
   for (const TuId id : victims) fail_tu(id, FailReason::kChannelClosed);
-}
-
-void Engine::bind_shard(ShardCoordinator* coordinator, std::uint32_t shard,
-                        double horizon_hint) {
-  coordinator_ = coordinator;
-  shard_id_ = shard;
-  source_horizon_ = std::max(source_horizon_, horizon_hint);
-}
-
-void Engine::inject_arrival(pcn::Payment payment) {
-  if (payment.arrival_time < last_arrival_time_) {
-    throw std::logic_error("Engine: injected arrivals not monotone");
-  }
-  last_arrival_time_ = payment.arrival_time;
-  last_deadline_seen_ = std::max(last_deadline_seen_, payment.deadline);
-  ++pending_arrivals_;
-  note_buffer_peak();
-  const double when = payment.arrival_time;
-  injected_arrivals_.push_back(std::move(payment));
-  scheduler_.at(when,
-                sim::EngineEvent{.kind = sim::EngineEvent::Kind::kArrival});
-}
-
-void Engine::deliver_handoff(TuHandoff msg, double not_before) {
-  const double when = std::max(msg.when, not_before);
-  handoff_inbox_.push_back(std::move(msg));
-  scheduler_.at(when,
-                sim::EngineEvent{.kind = sim::EngineEvent::Kind::kRemoteHandoff});
-}
-
-void Engine::deliver_result(TuResult msg, double not_before) {
-  const double when = std::max(msg.when, not_before);
-  result_inbox_.push_back(std::move(msg));
-  scheduler_.at(when,
-                sim::EngineEvent{.kind = sim::EngineEvent::Kind::kRemoteResult});
-}
-
-void Engine::export_tu(TuId id) {
-  LiveTu* live = live_.find(id);
-  TuHandoff msg;
-  msg.tu = std::move(live->tu);
-  msg.hop_locked = std::move(live->hop_locked);
-  msg.home_id = live->foreign ? live->home_id : id;
-  msg.home_shard = live->foreign ? live->home_shard : shard_id_;
-  msg.when = scheduler_.now();
-  // Plain erase, not release_live_tu: the TU is still alive, so the home
-  // payment's live_tus pin must stay held until its TuResult lands.
-  live_.erase(id);
-  // Not a data hop: the adopting shard counts it when it locks the channel.
-  ++metrics_.cross_shard_messages;
-  coordinator_->handoff_tu(shard_id_, std::move(msg));
-}
-
-void Engine::adopt_tu(TuHandoff msg) {
-  TransactionUnit tu = std::move(msg.tu);
-  const bool back_home = msg.home_shard == shard_id_;
-  tu.id = next_tu_id_++;
-  const TuId id = tu.id;
-  LiveTu live;
-  live.hop_locked = std::move(msg.hop_locked);
-  live.foreign = !back_home;
-  live.home_shard = msg.home_shard;
-  live.home_id = msg.home_id;
-  if (back_home) tu.id = msg.home_id;  // restore the router-visible id
-  live.tu = std::move(tu);
-  live_.emplace(id, std::move(live));
-  attempt_hop(id);
-}
-
-void Engine::apply_remote_result(TuResult msg) {
-  const TransactionUnit& tu = msg.tu;
-  // Mirrors the payment-state block of deliver()/fail_tu(): the TU's hops
-  // were settled/refunded by their owning shards; only the home-side
-  // payment bookkeeping and router callbacks remain.
-  if (msg.delivered) {
-    if (auto* state = state_or_orphan(tu.payment)) {
-      state->in_flight -= tu.value;
-      state->delivered += tu.value;
-      if (!state->failed && !state->completed &&
-          state->delivered >= state->payment.value) {
-        cancel_deadline_event(state->payment.id);
-        state->completed = true;
-        --active_payments_;
-        state->completion_time = scheduler_.now();
-        ++metrics_.payments_completed;
-        metrics_.value_completed += state->payment.value;
-        fold_resolution(*state);
-        // Receipt ACK_tid forwarded back to the sender.
-        metrics_.messages.control_messages += 1;
-      }
-    }
-    router_.on_tu_delivered(*this, tu);
-  } else {
-    if (auto* state = state_or_orphan(tu.payment)) {
-      state->in_flight -= tu.value;
-    }
-    router_.on_tu_failed(*this, tu, msg.reason);
-  }
-  // Release the live_tus pin taken at send_tu; the live_ entry itself was
-  // erased when the TU was exported.
-  if (auto* state = state_or_orphan(tu.payment)) {
-    if (state->live_tus > 0) --state->live_tus;
-    maybe_evict(tu.payment);
-  }
 }
 
 void Engine::schedule_next_arrival() {
@@ -576,13 +411,8 @@ void Engine::fold_resolution(const PaymentState& state) {
 void Engine::release_live_tu(TuId id) {
   const LiveTu* live = live_.find(id);
   if (live == nullptr) return;
-  const bool foreign = live->foreign;
   const PaymentId payment = live->tu.payment;
   live_.erase(id);
-  // A foreign TU's payment lives on its home shard: the pin there is
-  // released when the TuResult is applied, and the local states_ slab has
-  // no entry to consult.
-  if (foreign) return;
   if (auto* state = state_or_orphan(payment)) {
     if (state->live_tus > 0) --state->live_tus;
     maybe_evict(payment);
@@ -689,12 +519,6 @@ void Engine::attempt_hop(TuId id) {
   auto& tu = live.tu;
   const std::size_t hop = tu.next_hop;
   const ChannelId channel = tu.path.edges[hop];
-  if (channel_is_remote(channel)) {
-    // Every lock is taken by the channel's owner: ship the TU there before
-    // touching rate buckets, queues or funds.
-    export_tu(id);
-    return;
-  }
   const NodeId from = tu.path.nodes[hop];
   auto& ch = network_.channel(channel);
   const pcn::Direction d = ch.direction_from(from);
@@ -808,22 +632,6 @@ void Engine::deliver(TuId id) {
   live.resolved = true;
   ++metrics_.tus_delivered;
 
-  if (live.foreign) {
-    // The payment lives on another shard: settle the hops (routing remote
-    // acks to their owners), then relay the outcome home for the payment
-    // bookkeeping and router callbacks.
-    settle_backwards(id);
-    TuResult result;
-    result.tu = std::move(live.tu);
-    result.tu.id = live.home_id;
-    result.delivered = true;
-    result.when = scheduler_.now();
-    ++metrics_.cross_shard_messages;
-    coordinator_->post_result(shard_id_, live.home_shard, std::move(result));
-    if (config_.settlement_epoch_s > 0) release_live_tu(id);
-    return;
-  }
-
   // Orphan-tolerant: a TU of a payment resolved and evicted before it was
   // sent settles its hops like any other; only the per-payment bookkeeping
   // is gone.
@@ -869,23 +677,16 @@ void Engine::settle_backwards(TuId id) {
     return;  // deliver() releases the live entry
   }
   // The ack walks back from the destination, one hop per hop_delay,
-  // settling each lock into the receiving side. Hops locked by other
-  // shards get their ack via the coordinator; the owner executes it at the
-  // next barrier, no earlier than its natural timestamp.
+  // settling each lock into the receiving side.
   double delay = config_.hop_delay_s;
   for (std::size_t i = hops; i-- > 0;) {
     if (!live.hop_locked[i]) continue;
-    const sim::EngineEvent ack{
-        .kind = sim::EngineEvent::Kind::kSettleAck,
-        .channel = tu.path.edges[i],
-        .aux = tu.path.nodes[i],
-        .a = static_cast<std::uint64_t>(tu.hop_amounts[i])};
-    if (channel_is_remote(tu.path.edges[i])) {
-      coordinator_->post_ack(shard_id_, tu.path.edges[i],
-                             scheduler_.now() + delay, ack);
-    } else {
-      scheduler_.after(delay, ack);
-    }
+    scheduler_.after(
+        delay, sim::EngineEvent{
+                   .kind = sim::EngineEvent::Kind::kSettleAck,
+                   .channel = tu.path.edges[i],
+                   .aux = tu.path.nodes[i],
+                   .a = static_cast<std::uint64_t>(tu.hop_amounts[i])});
     delay += config_.hop_delay_s;
   }
   scheduler_.after(delay,
@@ -902,22 +703,6 @@ void Engine::fail_tu(TuId id, FailReason reason) {
   // its entry awaits kReleaseTu.
   if (live == nullptr || live->resolved) return;
   live->resolved = true;
-  if (live->foreign) {
-    ++metrics_.tus_failed;
-    ++metrics_.tu_fail_reasons[static_cast<std::size_t>(reason)];
-    if (reason == FailReason::kMarkedCongested) ++metrics_.tus_marked;
-    refund_backwards(id, reason);
-    TuResult result;
-    result.tu = std::move(live->tu);
-    result.tu.id = live->home_id;
-    result.delivered = false;
-    result.reason = reason;
-    result.when = scheduler_.now();
-    ++metrics_.cross_shard_messages;
-    coordinator_->post_result(shard_id_, live->home_shard, std::move(result));
-    if (config_.settlement_epoch_s > 0) release_live_tu(id);
-    return;
-  }
   // Orphan TUs (see send_tu) have no payment state to update.
   if (auto* state = state_or_orphan(live->tu.payment)) {
     state->in_flight -= live->tu.value;
@@ -948,17 +733,12 @@ void Engine::refund_backwards(TuId id, FailReason reason) {
   double delay = config_.hop_delay_s;
   for (std::size_t i = tu.path.edges.size(); i-- > 0;) {
     if (!live.hop_locked[i]) continue;
-    const sim::EngineEvent ack{
-        .kind = sim::EngineEvent::Kind::kRefundAck,
-        .channel = tu.path.edges[i],
-        .aux = tu.path.nodes[i],
-        .a = static_cast<std::uint64_t>(tu.hop_amounts[i])};
-    if (channel_is_remote(tu.path.edges[i])) {
-      coordinator_->post_ack(shard_id_, tu.path.edges[i],
-                             scheduler_.now() + delay, ack);
-    } else {
-      scheduler_.after(delay, ack);
-    }
+    scheduler_.after(
+        delay, sim::EngineEvent{
+                   .kind = sim::EngineEvent::Kind::kRefundAck,
+                   .channel = tu.path.edges[i],
+                   .aux = tu.path.nodes[i],
+                   .a = static_cast<std::uint64_t>(tu.hop_amounts[i])});
     delay += config_.hop_delay_s;
   }
   scheduler_.after(delay,
@@ -1088,21 +868,6 @@ void Engine::add_pending_locked_hops(const LiveTu& live, bool is_settle) {
   const auto& tu = live.tu;
   for (std::size_t i = tu.path.edges.size(); i-- > 0;) {
     if (!live.hop_locked[i]) continue;
-    if (channel_is_remote(tu.path.edges[i])) {
-      // The lock lives on another shard's copy of the channel; folding it
-      // into the local epoch buffer would move funds that were never locked
-      // here. Route the ack to the owner, who applies it on arrival (the
-      // barrier already quantises it onto the settlement grid).
-      const sim::EngineEvent ack{
-          .kind = is_settle ? sim::EngineEvent::Kind::kSettleAck
-                            : sim::EngineEvent::Kind::kRefundAck,
-          .channel = tu.path.edges[i],
-          .aux = tu.path.nodes[i],
-          .a = static_cast<std::uint64_t>(tu.hop_amounts[i])};
-      coordinator_->post_ack(shard_id_, tu.path.edges[i],
-                             scheduler_.now() + config_.hop_delay_s, ack);
-      continue;
-    }
     const auto& ch = network_.channel(tu.path.edges[i]);
     add_pending(tu.path.edges[i], ch.direction_from(tu.path.nodes[i]),
                 tu.hop_amounts[i], is_settle);

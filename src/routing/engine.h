@@ -72,8 +72,8 @@ struct EngineConfig {
   /// to 0, in which case no mutator is built, no mutation event is ever
   /// scheduled and no RNG draw happens — the benign event stream is
   /// byte-identical to an engine without this field (CI-gated). Mutation
-  /// randomness derives from hostile.seed, never from `seed`, so the
-  /// stream is also bit-identical across shard counts.
+  /// randomness derives from hostile.seed, never from `seed`, so enabling
+  /// mutators consumes no engine RNG draw.
   pcn::HostileConfig hostile;
 
   /// Throws std::invalid_argument on a negative or NaN settlement epoch, a
@@ -124,23 +124,12 @@ struct EngineMetrics {
   /// Value delivered by payments that nonetheless failed (partial
   /// deliveries observed at resolution time).
   Amount failed_delivered_value = 0;
-  /// Sharded mode only (0 in a sequential run): TU handoffs plus TU results
-  /// this shard sent to other shards, and barrier epochs executed. The
-  /// merged metrics carry the totals.
-  std::uint64_t cross_shard_messages = 0;
-  std::uint64_t shard_barriers = 0;
-  /// BSP critical path (sum over windows of the busiest shard's events);
-  /// scheduler_events / this = the speedup the partition admits on enough
-  /// cores. 0 in a sequential run; set by the coordinator after merging.
-  std::uint64_t shard_critical_path_events = 0;
   /// Always 0: the rate tick sweeps every channel and pair each tau, so it
   /// skips no price update and reuses no probe sum. Kept because the
   /// perfbench harness still reads and reports both fields.
   std::uint64_t price_updates_skipped = 0;
   std::uint64_t probe_sums_reused = 0;
-  /// Hostile-world mutation events applied (0 in a benign run). In a
-  /// sharded run every shard replays the full stream (state flags must
-  /// agree everywhere), so the merged count is shards x stream length.
+  /// Hostile-world mutation events applied (0 in a benign run).
   std::uint64_t mutation_events = 0;
   /// Deadlock witnesses, stamped by finish_run() before the conservation
   /// check: TUs still resident in the live slab and value still sitting in
@@ -170,15 +159,6 @@ struct EngineMetrics {
                                     static_cast<double>(payments_completed)
                               : 0.0;
   }
-
-  /// Deterministic fold of another shard's metrics into this one: counters
-  /// and accumulators sum, simulated_seconds takes the max. Peaks sum too —
-  /// each shard's peak is attained on its own clock, so the sum is an upper
-  /// bound on simultaneous residency, which is the capacity-planning signal
-  /// the field exists for. Merging in ascending shard order makes the
-  /// result independent of thread interleaving (RunningStats::merge is
-  /// order-sensitive in the last bits).
-  void merge_from(const EngineMetrics& other);
 };
 
 /// Per-payment progress (router-visible). With eviction enabled
@@ -217,54 +197,6 @@ struct PaymentState {
   [[nodiscard]] bool active() const noexcept { return !completed && !failed; }
 };
 
-/// A live TU crossing a shard boundary: the receiving shard adopts it under
-/// a fresh local id and keeps forwarding. hop_locked travels with the TU —
-/// earlier hops may hold locks on channels owned by shards it already left,
-/// and the resolving shard routes their settle/refund acks back by owner.
-struct TuHandoff {
-  TransactionUnit tu;
-  std::vector<char> hop_locked;
-  TuId home_id = 0;               // the TU's id in its home shard
-  std::uint32_t home_shard = 0;   // shard owning the payment's state
-  double when = 0.0;              // emission time (clamped to the barrier)
-};
-
-/// Terminal outcome of a TU that resolved away from its home shard,
-/// relayed back so the home shard can run the payment bookkeeping and the
-/// router callbacks. tu.id is restored to the home id before posting.
-struct TuResult {
-  TransactionUnit tu;
-  bool delivered = false;
-  FailReason reason = FailReason::kNoPath;
-  double when = 0.0;  // resolution time (clamped to the barrier)
-};
-
-/// What a shard-bound Engine needs from the sharding layer. All four calls
-/// happen during the parallel phase, from the worker running shard `from`;
-/// implementations append to single-writer mailbox lanes (see
-/// sim/sharded_scheduler.h) and must not touch shared mutable state.
-class ShardCoordinator {
- public:
-  /// Owning shard of a channel (the partition is total and static).
-  [[nodiscard]] virtual std::uint32_t shard_of_channel(
-      ChannelId channel) const noexcept = 0;
-
-  /// Ships a live TU to the shard owning its next-hop channel.
-  virtual void handoff_tu(std::uint32_t from, TuHandoff msg) = 0;
-
-  /// Relays a foreign TU's terminal outcome to its home shard.
-  virtual void post_result(std::uint32_t from, std::uint32_t home_shard,
-                           TuResult msg) = 0;
-
-  /// Posts a settle/refund ack for a channel owned by another shard; the
-  /// owner executes it at the next barrier (at max(when, barrier)).
-  virtual void post_ack(std::uint32_t from, ChannelId channel, double when,
-                        const sim::EngineEvent& event) = 0;
-
- protected:
-  ~ShardCoordinator() = default;
-};
-
 class Engine : private sim::EventSink {
  public:
   /// Streams payments lazily out of `source`: the next arrival event is
@@ -277,51 +209,8 @@ class Engine : private sim::EventSink {
   Engine(pcn::Network network, std::vector<pcn::Payment> payments,
          Router& router, EngineConfig config = {});
 
-  /// Runs the whole simulation; single call. Equivalent to begin_run(),
-  /// a run_window() loop bounded by the deadline-driven hard stop, then
-  /// finish_run() — the sharded coordinator drives those pieces itself.
+  /// Runs the whole simulation; single call.
   EngineMetrics run();
-
-  // ---- Sharded-mode lifecycle (coordinator-facing) ---------------------
-  // A shard-bound engine is one shard of a ShardedEngine: it owns its full
-  // network copy, scheduler, RNG and router, touches only channels its
-  // shard owns, and exchanges TUs/acks with other shards through the
-  // coordinator. All of these are harmless no-ops/equivalents in a
-  // sequential run; Engine::run() itself never needs them.
-
-  /// Binds this engine to a shard. `horizon_hint` seeds workload_horizon()
-  /// for engines whose local source is empty (the coordinator streams
-  /// arrivals in); pass the real source's hint.
-  void bind_shard(ShardCoordinator* coordinator, std::uint32_t shard,
-                  double horizon_hint);
-
-  /// Router on_start + first lazy source pull (the opening of run()).
-  void begin_run();
-
-  /// Advances the local scheduler to `until` (inclusive); returns events
-  /// executed (also folded into metrics().scheduler_events).
-  std::size_t run_window(double until);
-
-  /// Closing bookkeeping of run(): stamps simulated_seconds, applies any
-  /// residual batched settlements, checks funds conservation.
-  void finish_run();
-
-  /// Streams one payment in from the coordinator (N-shard mode, where the
-  /// per-shard sources are empty): schedules its arrival event locally.
-  /// Arrival times must be monotone, as with a real source.
-  void inject_arrival(pcn::Payment payment);
-
-  /// Queues a cross-shard TU for adoption / a foreign TU's outcome for the
-  /// home-side bookkeeping. Called at a barrier; the matching event fires
-  /// no earlier than `not_before` (the barrier time).
-  void deliver_handoff(TuHandoff msg, double not_before);
-  void deliver_result(TuResult msg, double not_before);
-
-  /// Deadline high-water mark pulled/injected so far; the coordinator's
-  /// hard stop is the max over shards of this, plus the usual slack.
-  [[nodiscard]] double last_deadline_seen() const noexcept {
-    return last_deadline_seen_;
-  }
 
   // ---- Router-facing API ----------------------------------------------
   [[nodiscard]] double now() const noexcept { return scheduler_.now(); }
@@ -400,12 +289,6 @@ class Engine : private sim::EventSink {
   struct LiveTu {
     TransactionUnit tu;
     std::vector<char> hop_locked;  // which path edges currently hold a lock
-    /// Sharded mode: this TU was adopted from another shard and its payment
-    /// state lives elsewhere — resolution relays a TuResult home instead of
-    /// touching local payment bookkeeping.
-    bool foreign = false;
-    std::uint32_t home_shard = 0;  // valid when foreign
-    TuId home_id = 0;              // the id the home shard knows the TU by
     /// deliver()/fail_tu() ran: in per-hop mode the entry outlives its
     /// resolution until the ack-chain kReleaseTu fires, and the channel-
     /// close sweep (and any late kMark) must not fail it a second time.
@@ -447,6 +330,15 @@ class Engine : private sim::EventSink {
   // tagged POD (see sim/engine_event.h) instead of a per-event closure.
   void handle_event(const sim::EngineEvent& event) override;
 
+  // run(), in three steps: router on_start + first lazy source pull; the
+  // event loop up to `until` (inclusive; returns events executed, also
+  // folded into metrics().scheduler_events); and the closing bookkeeping
+  // (simulated_seconds, residual batched settlements, deadlock witnesses,
+  // funds conservation).
+  void begin_run();
+  std::size_t run_window(double until);
+  void finish_run();
+
   // Mechanics.
   /// Pulls the next payment from the source (if any) and schedules its
   /// arrival event; called once at start-up and then from each arrival.
@@ -470,23 +362,6 @@ class Engine : private sim::EventSink {
   void schedule_drain(ChannelId channel, pcn::Direction d, double when);
   std::size_t pick_from_queue(const DirectedState& state) const;
   void on_payment_deadline(PaymentId id);
-
-  // Sharded-mode internals.
-  /// True when the channel belongs to another shard (always false unbound).
-  [[nodiscard]] bool channel_is_remote(ChannelId channel) const noexcept {
-    return coordinator_ != nullptr &&
-           coordinator_->shard_of_channel(channel) != shard_id_;
-  }
-  /// Ships a live TU to the shard owning its next-hop channel; the local
-  /// entry is erased (the home payment pin, if any, stays held until the
-  /// TuResult comes back).
-  void export_tu(TuId id);
-  /// Registers a handed-off TU under a fresh local id and forwards it.
-  void adopt_tu(TuHandoff msg);
-  /// Home-side bookkeeping for a TU that resolved on another shard: the
-  /// payment-state block of deliver()/fail_tu(), the router callbacks, and
-  /// the release of the live_tus pin taken at send_tu.
-  void apply_remote_result(TuResult msg);
 
   // Retention contract.
   /// Orphan-tolerant lookup for engine-internal TU paths: nullptr means
@@ -526,11 +401,7 @@ class Engine : private sim::EventSink {
   // a mutator). The engine replays the merged mutator streams through its
   // own scheduler, one staged kMutation event at a time (the arrival
   // pattern): equal-timestamp events across mutators fire in ascending
-  // mutator index order. In a sharded run every shard replays the whole
-  // stream and flips the state flags (closed / offline / policy) so path
-  // selection agrees everywhere; the fund-touching side effects of a close
-  // (queue flush, in-flight refunds) run only on the channel's owning
-  // shard.
+  // mutator index order.
   /// Builds the mutators and stages each one's first event (begin_run).
   void init_mutators();
   /// Schedules one kMutation event for the earliest staged event, if any.
@@ -538,9 +409,9 @@ class Engine : private sim::EventSink {
   /// Applies one mutation. Down/close depth counters make overlapping
   /// faults on one target idempotent: only 0 <-> 1 transitions flip flags.
   void apply_mutation(const pcn::MutationEvent& event);
-  /// Close side effects on the owning shard: fail both waiting queues
-  /// (kChannelClosed, mark events cancelled) and refund every unresolved
-  /// in-flight TU holding a lock on the channel.
+  /// Close side effects: fail both waiting queues (kChannelClosed, mark
+  /// events cancelled) and refund every unresolved in-flight TU holding a
+  /// lock on the channel.
   void on_channel_close(ChannelId channel);
 
   // Directed-channel index scheme shared by directed_ and the batcher.
@@ -591,8 +462,7 @@ class Engine : private sim::EventSink {
   SettlementBatcher batcher_;
   // Hostile-world mutation state: the mutator streams, one staged event
   // per mutator, and per-target depth counters for overlapping faults.
-  // Empty/unused in a benign run. Written only by the engine's mutation
-  // plumbing (splicer_lint writer-lanes owns these names).
+  // Empty/unused in a benign run.
   std::vector<std::unique_ptr<pcn::ScenarioMutator>> mutators_;
   std::vector<std::optional<pcn::MutationEvent>> staged_mutations_;
   std::vector<std::uint32_t> node_down_depth_;
@@ -606,17 +476,6 @@ class Engine : private sim::EventSink {
   TuId next_tu_id_ = 1;
   Amount initial_funds_ = 0;
 
-  // Sharded-mode state (inert in a sequential run).
-  ShardCoordinator* coordinator_ = nullptr;
-  std::uint32_t shard_id_ = 0;
-  // Barrier-delivered rich messages; each entry is claimed in FIFO order by
-  // its matching kRemoteHandoff/kRemoteResult event (scheduled at the same
-  // barrier timestamp, so heap order equals deque order).
-  std::deque<TuHandoff> handoff_inbox_;
-  std::deque<TuResult> result_inbox_;
-  // Coordinator-injected payments awaiting their kArrival events (N-shard
-  // mode; the sequential path uses the single staged_arrival_ slot).
-  std::deque<pcn::Payment> injected_arrivals_;
   // Guard: on_tu_forwarded receives a reference into the live_ slab, which
   // send_tu can relocate — dispatching from that hook is a hard error, not
   // silent UB (see Router::on_tu_forwarded's contract).

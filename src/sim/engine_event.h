@@ -29,8 +29,6 @@ struct EngineEvent {
     kDrain,          // rate-limiter queue wake-up: channel, aux = direction
     kFlush,          // settlement-epoch flush boundary
     kRouterTimer,    // router-owned timer: a and b are router-defined
-    kRemoteHandoff,  // sharded mode: adopt the next TU from the handoff inbox
-    kRemoteResult,   // sharded mode: apply the next entry of the result inbox
     kMutation,       // hostile-world mutation due: a = staged mutator index
   };
 

@@ -71,12 +71,6 @@ class Scheduler {
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
-  /// Timestamp of the next pending event, or kForever when empty. The
-  /// sharded facade uses this to fast-forward across empty barrier epochs.
-  [[nodiscard]] Time next_event_time() const noexcept {
-    return heap_.empty() ? kForever : heap_[0].when;
-  }
-
   /// Executes the next event; returns false if none remain.
   bool step();
 

@@ -55,11 +55,10 @@ class ThreadPool {
 
   /// Enqueues a task on a specific shard. `shard` must be < thread_count();
   /// anything else throws std::out_of_range. Wrapping is deliberately not
-  /// done here: silent modulo aliasing folds two logical shards onto one
-  /// worker — serializing them with no visible signal — which is exactly
-  /// the mismatch the sharded engine needs surfaced. Callers that want a
-  /// wrapped key must write `key % pool.thread_count()` themselves, making
-  /// the fold explicit at the call site.
+  /// done here: silent modulo aliasing would fold two logical shards onto
+  /// one worker and serialize them with no visible signal. Callers that
+  /// want a wrapped key must write `key % pool.thread_count()` themselves,
+  /// making the fold explicit at the call site.
   void submit_to(std::size_t shard, Task task);
 
   /// Blocks until every submitted task has finished. If any task threw, the

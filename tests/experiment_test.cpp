@@ -6,53 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "graph/metrics.h"
-#include "routing/sharded_engine.h"
 
 namespace splicer::routing {
 namespace {
-
-constexpr Scheme kAllSchemes[] = {Scheme::kSplicer,  Scheme::kSpider,
-                                  Scheme::kFlash,    Scheme::kLandmark,
-                                  Scheme::kA2l,      Scheme::kShortestPath};
-
-/// Field-by-field equality of two metrics blocks, excluding shard_barriers
-/// (a sequential run has none by definition). Bitwise on every double.
-void expect_metrics_identical(const EngineMetrics& a, const EngineMetrics& b,
-                              const std::string& label) {
-  EXPECT_EQ(a.payments_generated, b.payments_generated) << label;
-  EXPECT_EQ(a.payments_completed, b.payments_completed) << label;
-  EXPECT_EQ(a.payments_failed, b.payments_failed) << label;
-  EXPECT_EQ(a.value_generated, b.value_generated) << label;
-  EXPECT_EQ(a.value_completed, b.value_completed) << label;
-  EXPECT_EQ(a.tus_sent, b.tus_sent) << label;
-  EXPECT_EQ(a.tus_delivered, b.tus_delivered) << label;
-  EXPECT_EQ(a.tus_failed, b.tus_failed) << label;
-  EXPECT_EQ(a.tus_marked, b.tus_marked) << label;
-  EXPECT_EQ(a.tu_fail_reasons, b.tu_fail_reasons) << label;
-  EXPECT_EQ(a.payment_fail_reasons, b.payment_fail_reasons) << label;
-  EXPECT_EQ(a.messages.data_hops, b.messages.data_hops) << label;
-  EXPECT_EQ(a.messages.ack_messages, b.messages.ack_messages) << label;
-  EXPECT_EQ(a.messages.probe_messages, b.messages.probe_messages) << label;
-  EXPECT_EQ(a.messages.sync_messages, b.messages.sync_messages) << label;
-  EXPECT_EQ(a.messages.control_messages, b.messages.control_messages) << label;
-  EXPECT_EQ(a.simulated_seconds, b.simulated_seconds) << label;
-  EXPECT_EQ(a.scheduler_events, b.scheduler_events) << label;
-  EXPECT_EQ(a.settlement_flushes, b.settlement_flushes) << label;
-  EXPECT_EQ(a.settlements_batched, b.settlements_batched) << label;
-  EXPECT_EQ(a.peak_payment_buffer, b.peak_payment_buffer) << label;
-  EXPECT_EQ(a.peak_resident_states, b.peak_resident_states) << label;
-  EXPECT_EQ(a.states_evicted, b.states_evicted) << label;
-  EXPECT_EQ(a.completion_delay_stats.count(), b.completion_delay_stats.count())
-      << label;
-  EXPECT_EQ(a.completion_delay_stats.sum(), b.completion_delay_stats.sum())
-      << label;
-  EXPECT_EQ(a.tus_per_payment_stats.count(), b.tus_per_payment_stats.count())
-      << label;
-  EXPECT_EQ(a.tus_per_payment_stats.sum(), b.tus_per_payment_stats.sum())
-      << label;
-  EXPECT_EQ(a.failed_delivered_value, b.failed_delivered_value) << label;
-  EXPECT_EQ(a.cross_shard_messages, b.cross_shard_messages) << label;
-}
 
 ScenarioConfig small_config(std::uint64_t seed = 7) {
   ScenarioConfig config;
@@ -240,68 +196,6 @@ TEST(Scenario, AlternativeWorkloadKindsRunEndToEnd) {
     EXPECT_EQ(m.payments_generated, 200u) << pcn::to_string(kind);
     EXPECT_EQ(m.payments_completed + m.payments_failed, 200u)
         << pcn::to_string(kind);
-  }
-}
-
-TEST(RunSchemeSharded, OneShardIsByteIdenticalToSequential) {
-  // The tentpole invariant: a 1-shard sharded run reproduces the sequential
-  // engine bit for bit — same event stream, same RNG draws, same metrics —
-  // for every scheme, in both instant and batched settlement modes.
-  const auto scenario = prepare_scenario(small_config(41));
-  for (const double epoch_s : {0.0, 0.005}) {
-    for (const auto scheme : kAllSchemes) {
-      SchemeConfig config;
-      config.engine.settlement_epoch_s = epoch_s;
-      ShardedEngineConfig sharded;
-      sharded.shards = 1;
-      const auto sequential = run_scheme(scenario, scheme, config);
-      const auto one_shard = run_scheme_sharded(scenario, scheme, config, sharded);
-      expect_metrics_identical(sequential, one_shard,
-                               std::string(to_string(scheme)) + " epoch " +
-                                   std::to_string(epoch_s));
-      EXPECT_EQ(one_shard.cross_shard_messages, 0u) << to_string(scheme);
-    }
-  }
-}
-
-TEST(RunSchemeSharded, FourShardRunsAreByteIdenticalToEachOther) {
-  // Fixed N determinism: two 4-shard runs of the same scenario must agree
-  // on every metric bit regardless of thread interleaving; at least one
-  // multi-hub scheme must actually exercise the cross-shard machinery.
-  const auto scenario = prepare_scenario(small_config(42));
-  std::uint64_t crossings = 0;
-  for (const auto scheme : kAllSchemes) {
-    SchemeConfig config;
-    ShardedEngineConfig sharded;
-    sharded.shards = 4;
-    const auto a = run_scheme_sharded(scenario, scheme, config, sharded);
-    const auto b = run_scheme_sharded(scenario, scheme, config, sharded);
-    expect_metrics_identical(a, b, to_string(scheme));
-    EXPECT_EQ(a.shard_barriers, b.shard_barriers) << to_string(scheme);
-    EXPECT_EQ(a.payments_generated, 400u) << to_string(scheme);
-    EXPECT_EQ(a.payments_completed + a.payments_failed, 400u)
-        << to_string(scheme);
-    crossings += a.cross_shard_messages;
-  }
-  EXPECT_GT(crossings, 0u);
-}
-
-TEST(RunSchemeSharded, ShardCountChangesQuantisationNotSanity) {
-  // Different shard counts are different (documented) quantisations of the
-  // same workload: outcomes need not match the sequential run bit for bit,
-  // but every payment still resolves and success stays in a sane band.
-  const auto scenario = prepare_scenario(small_config(43));
-  const auto sequential = run_scheme(scenario, Scheme::kSplicer);
-  for (const std::uint32_t shards : {2u, 4u}) {
-    ShardedEngineConfig sharded;
-    sharded.shards = shards;
-    const auto m =
-        run_scheme_sharded(scenario, Scheme::kSplicer, SchemeConfig{}, sharded);
-    EXPECT_EQ(m.payments_generated, 400u) << shards;
-    EXPECT_EQ(m.payments_completed + m.payments_failed, 400u) << shards;
-    EXPECT_GT(m.cross_shard_messages, 0u) << shards;
-    EXPECT_GT(m.shard_barriers, 0u) << shards;
-    EXPECT_GT(m.tsr(), sequential.tsr() - 0.2) << shards;
   }
 }
 

@@ -50,9 +50,8 @@ std::vector<LineRule> line_rules(const std::vector<Finding>& findings) {
 TEST(LintRules, TableListsEveryRuleOnce) {
   const std::vector<std::string> expected = {
       "ambient-nondet", "unordered-decl", "unordered-iter",
-      "std-function",   "slab-alias",     "writer-lanes",
-      "writer-lanes-transitive", "hotpath-alloc", "slab-alias-escape",
-      "float-order",    "stale-allow"};
+      "std-function",   "slab-alias",     "hotpath-alloc",
+      "slab-alias-escape", "stale-allow"};
   const auto& table = rules();
   ASSERT_EQ(table.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -137,40 +136,6 @@ TEST(LintSlabAlias, FlagsStaleRefsAndForwardHookDispatch) {
 TEST(LintSlabAlias, ScopedToRoutingDir) {
   const std::string src = read_fixture("slab_alias.cpp");
   EXPECT_TRUE(lint_source("src/common/fixture.cpp", src).empty());
-}
-
-TEST(LintWriterLanes, FlagsMailboxStateOutsideOwner) {
-  const std::string src = read_fixture("writer_lanes.cpp");
-  const auto findings = lint_source("src/sim/fixture.cpp", src);
-  const std::vector<LineRule> expected = {{5, "writer-lanes"},
-                                          {6, "writer-lanes"},
-                                          {7, "writer-lanes"}};
-  EXPECT_EQ(line_rules(findings), expected);
-}
-
-TEST(LintWriterLanes, FlagsMutationStateOutsideOwner) {
-  const std::string src = read_fixture("mutation_lanes.cpp");
-  const auto findings = lint_source("src/routing/fixture.cpp", src);
-  const std::vector<LineRule> expected = {{7, "writer-lanes"},
-                                          {8, "writer-lanes"},
-                                          {9, "writer-lanes"},
-                                          {10, "writer-lanes"}};
-  EXPECT_EQ(line_rules(findings), expected);
-}
-
-TEST(LintWriterLanes, OwningComponentIsExempt) {
-  EXPECT_TRUE(lint_source("src/sim/sharded_scheduler.cpp",
-                          "void f() { lanes_[0].clear(); }\n")
-                  .empty());
-  EXPECT_TRUE(lint_source("src/routing/engine.cpp",
-                          "void f() { handoff_inbox_.clear(); }\n")
-                  .empty());
-  EXPECT_TRUE(lint_source("src/routing/engine.cpp",
-                          "void f() { staged_mutations_[0].reset(); }\n")
-                  .empty());
-  EXPECT_TRUE(lint_source("src/routing/engine.h",
-                          "void f() { node_down_depth_.clear(); }\n")
-                  .empty());
 }
 
 TEST(LintAllowMeta, BareAndUnknownAllowsAreFindingsAndSuppressNothing) {
@@ -401,33 +366,6 @@ TEST(LintInterproc, SlabAliasEscapeScopedToRouting) {
   EXPECT_EQ(line_rules(findings), expected);
 }
 
-TEST(LintInterproc, FloatOrderFlagsHelperReachedFromMergeHonorsAllow) {
-  const auto findings =
-      lint_fixture_files({{"src/common/float_order.cpp", "float_order.cpp"}});
-  const std::vector<LineRule> expected = {{15, "float-order"}};
-  EXPECT_EQ(line_rules(findings), expected);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_NE(
-      findings[0].message.find("ShardStats::merge -> ShardStats::fold_in"),
-      std::string::npos)
-      << findings[0].message;
-}
-
-TEST(LintInterproc, WriterLanesTransitiveFlagsCallSiteOutsideOwner) {
-  const auto findings = lint_fixture_files(
-      {{"src/sim/sharded_scheduler.cpp", "writer_lanes_transitive_owner.cpp"},
-       {"src/sim/shard_user.cpp", "writer_lanes_transitive_user.cpp"}});
-  // bad_reset's call is flagged even though shard_user.cpp never names
-  // lanes_ (the token rule is blind here); good_post goes through the
-  // sanctioned API and excused_reset carries a reasoned allow.
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].file, "src/sim/shard_user.cpp");
-  EXPECT_EQ(findings[0].line, 9);
-  EXPECT_EQ(findings[0].rule, "writer-lanes-transitive");
-  EXPECT_NE(findings[0].message.find("ShardedScheduler::clear_lane"),
-            std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // stale-allow
 // ---------------------------------------------------------------------------
@@ -547,11 +485,11 @@ TEST(CliFormats, DumpCallgraphListsFunctionsAndUnresolved) {
 
 TEST(LintRenderers, JsonIsExactAndEscaped) {
   const std::vector<Finding> findings = {
-      {"src/a.cpp", 3, "float-order", "msg \"quoted\"\twith\ttabs"}};
+      {"src/a.cpp", 3, "hotpath-alloc", "msg \"quoted\"\twith\ttabs"}};
   EXPECT_EQ(to_json(findings),
             "[\n"
             "  {\"file\": \"src/a.cpp\", \"line\": 3, \"rule\": "
-            "\"float-order\", \"message\": \"msg \\\"quoted\\\"\\twith\\t"
+            "\"hotpath-alloc\", \"message\": \"msg \\\"quoted\\\"\\twith\\t"
             "tabs\"}\n"
             "]\n");
   EXPECT_EQ(to_json({}), "[\n]\n");

@@ -8,7 +8,6 @@
 
 #include "common/log.h"
 #include "routing/experiment.h"
-#include "routing/sharded_engine.h"
 
 namespace splicer::routing {
 namespace {
@@ -145,11 +144,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HostileSeedSweepTest,
 
 TEST(DeadlockUnderChurn, StormNeverWedgesAnySchemeOrSettlementMode) {
   // The stress gate: a combined fault + churn + policy storm across all six
-  // schemes, exact and batched settlement, sequential and 4-shard
-  // execution. A TU holding a lock on a channel that closes must unwind
-  // (refund) rather than park forever, and queue accounting must release
-  // every queued token — zero resident TUs and zero wedged queue value at
-  // quiescence, in every combination.
+  // schemes, exact and batched settlement. A TU holding a lock on a channel
+  // that closes must unwind (refund) rather than park forever, and queue
+  // accounting must release every queued token — zero resident TUs and
+  // zero wedged queue value at quiescence, in every combination.
   ScenarioConfig config;
   config.seed = 57;
   config.topology.nodes = 60;
@@ -172,24 +170,16 @@ TEST(DeadlockUnderChurn, StormNeverWedgesAnySchemeOrSettlementMode) {
                             Scheme::kA2l,      Scheme::kShortestPath};
   for (const auto scheme : all_six) {
     for (const double epoch_s : {0.0, 0.010}) {
-      for (const std::uint32_t shards : {1u, 4u}) {
-        SchemeConfig scheme_config = storm;
-        scheme_config.engine.settlement_epoch_s = epoch_s;
-        ShardedEngineConfig sharded;
-        sharded.shards = shards;
-        const auto m =
-            shards == 1
-                ? run_scheme(scenario, scheme, scheme_config)
-                : run_scheme_sharded(scenario, scheme, scheme_config, sharded);
-        const auto label = std::string(to_string(scheme)) + " epoch=" +
-                           std::to_string(epoch_s) + " shards=" +
-                           std::to_string(shards);
-        EXPECT_EQ(m.payments_completed + m.payments_failed, 200u) << label;
-        EXPECT_GT(m.mutation_events, 0u) << label;
-        EXPECT_EQ(m.resident_tus_at_end, 0u) << label;
-        EXPECT_EQ(m.wedged_queue_value, 0) << label;
-        EXPECT_EQ(m.tus_delivered + m.tus_failed, m.tus_sent) << label;
-      }
+      SchemeConfig scheme_config = storm;
+      scheme_config.engine.settlement_epoch_s = epoch_s;
+      const auto m = run_scheme(scenario, scheme, scheme_config);
+      const auto label = std::string(to_string(scheme)) + " epoch=" +
+                         std::to_string(epoch_s);
+      EXPECT_EQ(m.payments_completed + m.payments_failed, 200u) << label;
+      EXPECT_GT(m.mutation_events, 0u) << label;
+      EXPECT_EQ(m.resident_tus_at_end, 0u) << label;
+      EXPECT_EQ(m.wedged_queue_value, 0) << label;
+      EXPECT_EQ(m.tus_delivered + m.tus_failed, m.tus_sent) << label;
     }
   }
 }

@@ -5,9 +5,11 @@
 #include "graph/generators.h"
 #include "routing/a2l_router.h"
 #include "routing/engine.h"
+#include "routing/experiment.h"
 #include "routing/flash_router.h"
 #include "routing/landmark_router.h"
 #include "routing/shortest_path_router.h"
+#include "routing/splicer_router.h"
 #include "routing/spider_router.h"
 
 namespace splicer::routing {
@@ -232,6 +234,44 @@ TEST(A2lRouterTest, NonStarEndpointFails) {
   EXPECT_EQ(m.payments_completed, 0u);
   EXPECT_EQ(m.payment_fail_reasons[static_cast<std::size_t>(FailReason::kNoPath)],
             1u);
+}
+
+TEST(RouterPaymentMaps, EmptyAfterEveryRun) {
+  // on_payment_resolved fires for every payment at quiescence, so no
+  // router-side per-payment map can outlive its payment, with or without
+  // retention of resolved states.
+  ScenarioConfig scenario_config;
+  scenario_config.seed = 55;
+  scenario_config.topology.nodes = 60;
+  scenario_config.placement.candidate_count = 6;
+  scenario_config.workload.payment_count = 150;
+  scenario_config.workload.horizon_seconds = 6.0;
+  const auto scenario = prepare_scenario(scenario_config);
+  for (const bool retain : {true, false}) {
+    EngineConfig config;
+    config.retain_resolved = retain;
+    {
+      config.queues_enabled = true;
+      SplicerRouter router(scenario.multi_star.hub_of, scenario.multi_star.hubs);
+      Engine engine(scenario.multi_star.network, scenario.make_source(),
+                    router, config);
+      (void)engine.run();
+      EXPECT_EQ(router.tracked_payments(), 0u) << "Splicer retain=" << retain;
+    }
+    config.queues_enabled = false;
+    {
+      FlashRouter router;
+      Engine engine(scenario.raw, scenario.make_source(), router, config);
+      (void)engine.run();
+      EXPECT_EQ(router.tracked_payments(), 0u) << "Flash retain=" << retain;
+    }
+    {
+      LandmarkRouter router;
+      Engine engine(scenario.raw, scenario.make_source(), router, config);
+      (void)engine.run();
+      EXPECT_EQ(router.tracked_payments(), 0u) << "Landmark retain=" << retain;
+    }
+  }
 }
 
 }  // namespace

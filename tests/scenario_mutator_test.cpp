@@ -1,8 +1,8 @@
 // Hostile-world scenario mutators: determinism contract (construct ==
 // reset, equal seeds => equal streams), time ordering with stable
 // equal-timestamp sequence, follow-up pairing, HostileConfig validation,
-// the FailReason additions, and the engine-level parity gates (rate-0 ==
-// benign run; 1-shard sharded == sequential under active mutations).
+// the FailReason additions, and the engine-level parity gate (rate-0 ==
+// benign run).
 
 #include "pcn/scenario_mutator.h"
 
@@ -13,7 +13,6 @@
 
 #include "routing/experiment.h"
 #include "routing/router.h"
-#include "routing/sharded_engine.h"
 
 namespace splicer::pcn {
 namespace {
@@ -218,29 +217,6 @@ TEST(ScenarioMutator, RateZeroIsByteIdenticalToBenign) {
     const auto b = routing::run_scheme(scenario, scheme, hostile_off);
     expect_identical(a, b, routing::to_string(scheme));
     EXPECT_EQ(b.mutation_events, 0u);
-  }
-}
-
-TEST(ScenarioMutator, OneShardShardedMatchesSequentialUnderMutations) {
-  // Mutation streams derive from HostileConfig::seed, not the engine seed,
-  // so a 1-shard sharded run must replay the exact sequential simulation.
-  const auto scenario = routing::prepare_scenario(parity_config());
-  routing::SchemeConfig config;
-  config.engine.hostile.fault_rate = 1.5;
-  config.engine.hostile.churn_rate = 1.0;
-  config.engine.hostile.fee_policy_rate = 0.5;
-  config.engine.hostile.timelock_rate = 0.5;
-  config.engine.hostile.timelock_budget = 16;
-  for (const auto scheme :
-       {routing::Scheme::kSplicer, routing::Scheme::kFlash,
-        routing::Scheme::kShortestPath}) {
-    const auto sequential = routing::run_scheme(scenario, scheme, config);
-    EXPECT_GT(sequential.mutation_events, 0u) << routing::to_string(scheme);
-    routing::ShardedEngineConfig sharded;
-    sharded.shards = 1;
-    const auto one_shard =
-        routing::run_scheme_sharded(scenario, scheme, config, sharded);
-    expect_identical(sequential, one_shard, routing::to_string(scheme));
   }
 }
 

@@ -340,6 +340,59 @@ TEST(TraceSource, MalformedRowsAreSkippedNotFatal) {
   EXPECT_EQ(source.rows_skipped(), 4u);
 }
 
+TEST(TraceSource, NonFiniteTimeRowsAreSkipped) {
+  TempTrace trace(
+      "0.0,a,b,5\n"
+      "nan,a,b,5\n"
+      "inf,b,a,5\n"
+      "1.0,b,a,5\n");
+  WorkloadConfig config;
+  config.kind = WorkloadKind::kTrace;
+  config.trace_file = trace.path();
+  TraceSource source(trace.path(), make_clients(4), config);
+  EXPECT_EQ(source.estimated_count(), 2u);
+  const auto payments = drain(source);
+  ASSERT_EQ(payments.size(), 2u);
+  for (const auto& p : payments) EXPECT_TRUE(std::isfinite(p.arrival_time));
+  EXPECT_EQ(source.rows_skipped(), 2u);
+}
+
+TEST(TraceSource, NonFiniteAmountRowsAreSkipped) {
+  TempTrace trace(
+      "0.0,a,b,5\n"
+      "0.5,a,b,inf\n"
+      "0.7,a,b,nan\n"
+      "1.0,b,a,5\n");
+  WorkloadConfig config;
+  config.kind = WorkloadKind::kTrace;
+  config.trace_file = trace.path();
+  TraceSource source(trace.path(), make_clients(4), config);
+  EXPECT_EQ(source.estimated_count(), 2u);
+  const auto payments = drain(source);
+  ASSERT_EQ(payments.size(), 2u);
+  for (const auto& p : payments) EXPECT_EQ(p.value, common::whole_tokens(5));
+  EXPECT_EQ(source.rows_skipped(), 2u);
+}
+
+TEST(TraceSource, AmountsOverflowingMilliTokensAreSkipped) {
+  // The bound applies to the scaled value: at value_scale 1000, 1e13 tokens
+  // become 1e19 milli-tokens, past Amount's ~9.2e18; 1e12 becomes 1e18.
+  TempTrace trace(
+      "0.0,a,b,1e300\n"
+      "0.5,a,b,1e13\n"
+      "1.0,b,a,1e12\n");
+  WorkloadConfig config;
+  config.kind = WorkloadKind::kTrace;
+  config.trace_file = trace.path();
+  config.value_scale = 1000.0;
+  TraceSource source(trace.path(), make_clients(4), config);
+  EXPECT_EQ(source.estimated_count(), 1u);
+  const auto payments = drain(source);
+  ASSERT_EQ(payments.size(), 1u);
+  EXPECT_EQ(payments[0].value, common::whole_tokens(1'000'000'000'000'000));
+  EXPECT_EQ(source.rows_skipped(), 2u);
+}
+
 // ---- Factory / VectorSource ----------------------------------------------
 
 TEST(MakeTrafficSource, BuildsEveryKindAndValidates) {

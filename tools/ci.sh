@@ -32,9 +32,8 @@
 # hard errors instead of flakes.
 #
 # A SPLICER_AUDIT=ON build then runs the smoke-label suites with the
-# dynamic contract witnesses compiled in (scheduler heap-order invariant,
-# single-writer thread-id asserts on the mailbox lanes) — the runtime
-# backstop for what splicer_lint can only approximate statically.
+# scheduler heap-order witness compiled in — the runtime backstop for what
+# splicer_lint can only approximate statically.
 #
 # Hostile-world gates (fault injection / channel churn / policy mutators):
 #   * the robustness bench runs its fast sweep — it exits nonzero itself if
@@ -46,14 +45,9 @@
 #     build so the close/refund sweeps execute with the dynamic witnesses
 #     on, and the mutator + robustness suites re-run under ASan+UBSan.
 #
-# Sharded-engine gates:
-#   * the hot-path JSON must carry the shard-scaling sweep ("shard_sweep"),
-#     which doubles as the 1-shard-parity exerciser (the sweep's shards=1
-#     point runs through the sharded coordinator);
-#   * a splicer_cli --shards 4 run smokes the CLI plumbing;
-#   * a ThreadSanitizer build runs the concurrency-bearing suites
-#     (sharded scheduler/engine, thread pool, parallel runner) so a data
-#     race in the barrier/mailbox protocol is a hard CI error.
+# Last, a ThreadSanitizer build runs the suites of the code that runs on
+# several threads (thread pool, parallel experiment runner), so a data race
+# in the trial/scheme fan-out is a hard CI error.
 #
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -130,16 +124,8 @@ SPLICER_BENCH_FAST=1 \
 echo "CI: engine hot-path microbench (archives BENCH_engine_hotpath.json)"
 "$BUILD_DIR/bench_engine_hotpath" --fast --repeat 2 \
   --json "$BUILD_DIR/BENCH_engine_hotpath.json" > "$SMOKE_DIR/hotpath.txt"
-# The JSON must exist and carry per-scheme events/sec rows plus the
-# shard-scaling sweep (1/2/4/8 shards with measured + projected speedups).
+# The JSON must exist and carry per-scheme events/sec rows.
 grep -q '"events_per_sec"' "$BUILD_DIR/BENCH_engine_hotpath.json"
-grep -q '"shard_sweep"' "$BUILD_DIR/BENCH_engine_hotpath.json"
-grep -q '"projected_speedup"' "$BUILD_DIR/BENCH_engine_hotpath.json"
-
-echo "CI: sharded engine CLI smoke (--shards 4)"
-"$BUILD_DIR/splicer_cli" compare --nodes 60 --payments 300 --shards 4 \
-  > "$SMOKE_DIR/sharded.txt"
-grep -q "sharded: 4 shards" "$SMOKE_DIR/sharded.txt"
 
 echo "CI: trace replay smoke (splicer_cli --workload trace)"
 "$BUILD_DIR/splicer_cli" compare --nodes 60 --workload trace \
@@ -204,14 +190,13 @@ ctest --test-dir "$AUDIT_DIR" -L smoke --output-on-failure -j "$JOBS"
 echo "CI: churn-storm stress under SPLICER_AUDIT (dynamic witnesses on)"
 "$AUDIT_DIR/robustness_test" --gtest_filter='DeadlockUnderChurn.*'
 
-echo "CI: ThreadSanitizer sharded-engine smoke"
+echo "CI: ThreadSanitizer smoke (thread pool, parallel experiment runner)"
 TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSPLICER_SANITIZE=thread -DSPLICER_BUILD_BENCH=OFF
 cmake --build "$TSAN_DIR" -j "$JOBS" --target \
-  sharded_scheduler_test sharded_engine_test thread_pool_test \
-  parallel_experiment_test
+  thread_pool_test parallel_experiment_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -R 'sharded_scheduler_test|sharded_engine_test|thread_pool_test|parallel_experiment_test'
+  -R 'thread_pool_test|parallel_experiment_test'
 
 echo "CI: all green"

@@ -6,7 +6,7 @@
 //                        [--workload synthetic|trace|bursty|hotspot]
 //                        [--trace-file CSV] [--streaming] [--no-retain]
 //                        [--burst-period S] [--burst-amplitude A]
-//                        [--shift-interval S] [--shards N]
+//                        [--shift-interval S]
 //                        [--fault-rate R] [--churn-rate R] [--fee-policy R]
 //                        [--timelock-budget N]
 //       run all six schemes on one shared scenario and print the comparison;
@@ -20,10 +20,6 @@
 //       AND evicts resolved payment states (the retention contract: a
 //       streaming run holds O(concurrency) states, see the "resident"
 //       column); --no-retain forces eviction for materialised runs too.
-//       --shards > 1 runs each simulation on N engine shards with
-//       barrier-synchronised cross-shard mailboxes (deterministic for a
-//       fixed N; see README "Parallelism"); requires --trials 1, and
-//       --threads then caps the shard workers instead of the scheme fan-out.
 //       The hostile-world knobs (all default off; see README "Hostile-world
 //       scenarios") inject Poisson faults/churn/policy rewrites:
 //       --fault-rate/--churn-rate/--fee-policy are events per second and
@@ -38,13 +34,24 @@
 //
 //   splicer_cli topology [--nodes N] [--seed S] [--scale-free]
 //       print topology statistics for the generated PCN
+//
+// Every subcommand rejects a flag it does not read, a value that does not
+// parse in full or does not fit the flag's type, a switch given a value
+// and a valued flag given none: it prints "error: ..." naming the flag and
+// exits 1 before doing any work.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/table.h"
 #include "graph/generators.h"
@@ -55,47 +62,103 @@
 #include "placement/milp_solver.h"
 #include "routing/experiment.h"
 #include "routing/parallel_experiment.h"
-#include "routing/sharded_engine.h"
 #include "splicer/workflow.h"
 
 using namespace splicer;
 
 namespace {
 
-/// Minimal --key value / --flag parser.
+/// Strict --key value / --switch parser. A subcommand reads every flag it
+/// accepts through the typed getters, then calls finish(), which rejects
+/// any flag left unread. Every failure throws std::invalid_argument naming
+/// the flag.
 class Args {
  public:
   Args(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "1";
+      const std::string arg = argv[i];
+      if (arg.size() <= 2 || arg.rfind("--", 0) != 0) {
+        throw std::invalid_argument("unexpected argument '" + arg + "'");
       }
+      Entry entry;
+      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+        entry.value = argv[++i];
+      }
+      entries_[arg] = std::move(entry);
     }
   }
 
-  [[nodiscard]] std::uint64_t u64(const std::string& key, std::uint64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 10);
+  [[nodiscard]] std::uint64_t u64(
+      const std::string& key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+    const std::string* text = value(key);
+    if (text == nullptr) return fallback;
+    // from_chars, unlike strtoull, refuses "-5" instead of wrapping it.
+    std::uint64_t parsed = 0;
+    const char* end = text->data() + text->size();
+    const auto [ptr, ec] = std::from_chars(text->data(), end, parsed);
+    if (ec != std::errc{} || ptr != end || parsed > max) {
+      throw bad_value(key, *text,
+                      "an integer in [0, " + std::to_string(max) + "]");
+    }
+    return parsed;
   }
-  [[nodiscard]] double real(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  [[nodiscard]] double real(const std::string& key, double fallback) {
+    const std::string* text = value(key);
+    if (text == nullptr) return fallback;
+    double parsed = 0.0;
+    const char* end = text->data() + text->size();
+    const auto [ptr, ec] = std::from_chars(text->data(), end, parsed);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(parsed)) {
+      throw bad_value(key, *text, "a finite number");
+    }
+    return parsed;
   }
-  [[nodiscard]] std::string str(const std::string& key, std::string fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+  [[nodiscard]] std::string str(const std::string& key, std::string fallback) {
+    const std::string* text = value(key);
+    return text == nullptr ? fallback : *text;
   }
-  [[nodiscard]] bool flag(const std::string& key) const {
-    return values_.count(key) != 0;
+  [[nodiscard]] bool flag(const std::string& key) {
+    const auto it = entries_.find("--" + key);
+    if (it == entries_.end()) return false;
+    it->second.read = true;
+    if (it->second.value) {
+      throw std::invalid_argument("--" + key + " takes no value (got '" +
+                                  *it->second.value + "')");
+    }
+    return true;
+  }
+
+  /// Throws on the first flag no getter asked for.
+  void finish() const {
+    for (const auto& [key, entry] : entries_) {
+      if (!entry.read) throw std::invalid_argument("unknown flag " + key);
+    }
   }
 
  private:
-  std::map<std::string, std::string> values_;
+  struct Entry {
+    std::optional<std::string> value;
+    bool read = false;
+  };
+
+  const std::string* value(const std::string& key) {
+    const auto it = entries_.find("--" + key);
+    if (it == entries_.end()) return nullptr;
+    it->second.read = true;
+    if (!it->second.value) {
+      throw std::invalid_argument("--" + key + " needs a value");
+    }
+    return &*it->second.value;
+  }
+  static std::invalid_argument bad_value(const std::string& key,
+                                         const std::string& text,
+                                         const std::string& expected) {
+    return std::invalid_argument("--" + key + " '" + text + "' is not " +
+                                 expected);
+  }
+
+  std::map<std::string, Entry> entries_;
 };
 
 /// Warns when a trace replay dropped rows: strict-mode replays otherwise
@@ -121,7 +184,7 @@ void warn_trace_skips(const routing::Scenario& scenario) {
   }
 }
 
-routing::ScenarioConfig scenario_from(const Args& args) {
+routing::ScenarioConfig scenario_from(Args& args) {
   routing::ScenarioConfig config;
   config.seed = args.u64("seed", 42);
   config.topology.nodes = args.u64("nodes", 100);
@@ -144,30 +207,10 @@ routing::ScenarioConfig scenario_from(const Args& args) {
   return config;
 }
 
-int cmd_compare(const Args& args) {
+int cmd_compare(Args& args) {
   const auto config = scenario_from(args);
   const std::size_t threads = args.u64("threads", 0);
   const std::size_t trials = std::max<std::uint64_t>(1, args.u64("trials", 1));
-  const auto shards =
-      static_cast<std::uint32_t>(std::max<std::uint64_t>(1, args.u64("shards", 1)));
-  if (shards > 1 && trials > 1) {
-    std::cerr << "error: --shards parallelises inside one simulation and "
-                 "--trials across simulations; combine at most one of them "
-                 "(run --shards with --trials 1)\n";
-    return 1;
-  }
-
-  std::cout << "preparing scenario: " << config.topology.nodes << " nodes, ";
-  if (config.workload.kind == pcn::WorkloadKind::kTrace) {
-    std::cout << "trace " << config.workload.trace_file;
-  } else {
-    std::cout << config.workload.payment_count << " payments";
-  }
-  std::cout << ", workload " << pcn::to_string(config.workload.kind)
-            << (config.workload.streaming ? " (streaming)" : "") << ", seed "
-            << config.seed;
-  if (trials > 1) std::cout << ", " << trials << " trials";
-  std::cout << "\n";
 
   routing::SchemeConfig scheme_config;
   scheme_config.protocol.tau_s = args.real("tau", 200.0) / 1000.0;
@@ -185,9 +228,26 @@ int cmd_compare(const Args& args) {
   hostile.fault_rate = args.real("fault-rate", 0.0);
   hostile.churn_rate = args.real("churn-rate", 0.0);
   hostile.fee_policy_rate = args.real("fee-policy", 0.0);
-  hostile.timelock_budget = static_cast<std::uint32_t>(args.u64(
-      "timelock-budget", pcn::HostileConfig::kUnboundedTimelock));
+  hostile.timelock_budget = static_cast<std::uint32_t>(
+      args.u64("timelock-budget", pcn::HostileConfig::kUnboundedTimelock,
+               std::numeric_limits<std::uint32_t>::max()));
+  args.finish();
   hostile.validate();
+  scheme_config.engine.validate();
+  scheme_config.protocol.validate();
+
+  std::cout << "preparing scenario: " << config.topology.nodes << " nodes, ";
+  if (config.workload.kind == pcn::WorkloadKind::kTrace) {
+    std::cout << "trace " << config.workload.trace_file;
+  } else {
+    std::cout << config.workload.payment_count << " payments";
+  }
+  std::cout << ", workload " << pcn::to_string(config.workload.kind)
+            << (config.workload.streaming ? " (streaming)" : "") << ", seed "
+            << config.seed;
+  if (trials > 1) std::cout << ", " << trials << " trials";
+  std::cout << "\n";
+
   if (hostile.any_mutation_active() ||
       hostile.timelock_budget != pcn::HostileConfig::kUnboundedTimelock) {
     std::cout << "hostile: fault-rate " << hostile.fault_rate
@@ -222,26 +282,7 @@ int cmd_compare(const Args& args) {
               << " clients\n";
     warn_trace_skips(prepared.front());
     std::cout << "\n";
-    if (shards > 1) {
-      // Intra-simulation parallelism: each scheme runs once across N
-      // engine shards (schemes stay sequential so the shard workers own
-      // the machine); metrics land in the same trial-0 slot the table
-      // below reads.
-      results.resize(tasks.size());
-      std::uint64_t crossings = 0;
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        routing::ShardedEngineConfig sharded;
-        sharded.shards = shards;
-        sharded.threads = threads;
-        results[t].trials.push_back(routing::run_scheme_sharded(
-            prepared.front(), tasks[t].scheme, tasks[t].config, sharded));
-        crossings += results[t].trials.back().cross_shard_messages;
-      }
-      std::cout << "sharded: " << shards << " shards, "
-                << crossings << " cross-shard TU handoffs/results\n";
-    } else {
-      results = runner.run_prepared(prepared, tasks).front();
-    }
+    results = runner.run_prepared(prepared, tasks).front();
   } else {
     if (config.workload.kind == pcn::WorkloadKind::kTrace) {
       // Derived-seed trials re-place their own topologies but replay the
@@ -303,16 +344,19 @@ int cmd_compare(const Args& args) {
   return 0;
 }
 
-int cmd_place(const Args& args) {
+int cmd_place(Args& args) {
   common::Rng rng(args.u64("seed", 42));
   const std::size_t nodes = args.u64("nodes", 100);
-  const auto g = args.flag("scale-free")
-                     ? graph::preferential_attachment(nodes, 4, rng)
-                     : graph::watts_strogatz(nodes, 8, 0.15, rng);
-  const auto instance = placement::build_instance_by_degree(
-      g, args.u64("candidates", 10), args.real("omega", 0.1));
-
+  const bool scale_free = args.flag("scale-free");
+  const std::size_t candidates = args.u64("candidates", 10);
+  const double omega = args.real("omega", 0.1);
   const std::string solver = args.str("solver", "approx");
+  args.finish();
+
+  const auto g = scale_free ? graph::preferential_attachment(nodes, 4, rng)
+                            : graph::watts_strogatz(nodes, 8, 0.15, rng);
+  const auto instance =
+      placement::build_instance_by_degree(g, candidates, omega);
   placement::PlacementPlan plan;
   if (solver == "exhaustive") {
     plan = placement::solve_exhaustive(instance).plan;
@@ -346,11 +390,20 @@ int cmd_place(const Args& args) {
   return 0;
 }
 
-int cmd_workflow(const Args& args) {
+int cmd_workflow(Args& args) {
   common::Rng rng(args.u64("seed", 42));
-  crypto::KeyManagementGroup kmg(args.u64("kmg", 5), rng.fork());
+  const std::size_t kmg_size = args.u64("kmg", 5);
+  const double value = args.real("value", 13.25);
+  args.finish();
+  // common::tokens would overflow Amount (UB) past ~9.2e15 tokens.
+  if (std::fabs(value) * static_cast<double>(common::kMilliPerToken) >=
+      static_cast<double>(std::numeric_limits<common::Amount>::max())) {
+    throw std::invalid_argument("--value is too large for milli-tokens");
+  }
+
+  crypto::KeyManagementGroup kmg(kmg_size, rng.fork());
   core::PaymentWorkflow workflow(kmg, rng);
-  core::PaymentDemand demand{1, 2, common::tokens(args.real("value", 13.25))};
+  core::PaymentDemand demand{1, 2, common::tokens(value)};
   const auto result = workflow.execute(demand);
   for (const auto& line : result.trace) std::cout << line << "\n";
   std::cout << "TUs: " << result.tu_count << ", messages: " << result.messages
@@ -358,12 +411,14 @@ int cmd_workflow(const Args& args) {
   return result.success ? 0 : 1;
 }
 
-int cmd_topology(const Args& args) {
+int cmd_topology(Args& args) {
   common::Rng rng(args.u64("seed", 42));
   const std::size_t nodes = args.u64("nodes", 100);
-  const auto g = args.flag("scale-free")
-                     ? graph::preferential_attachment(nodes, 4, rng)
-                     : graph::watts_strogatz(nodes, 8, 0.15, rng);
+  const bool scale_free = args.flag("scale-free");
+  args.finish();
+
+  const auto g = scale_free ? graph::preferential_attachment(nodes, 4, rng)
+                            : graph::watts_strogatz(nodes, 8, 0.15, rng);
   const auto stats = graph::degree_stats(g);
   std::cout << "nodes: " << g.node_count() << "\nchannels: " << g.edge_count()
             << "\ndegree: mean " << stats.mean << ", min " << stats.min
@@ -393,18 +448,22 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
-  const Args args(argc, argv);
-  // Invalid configs (bad --tau, --settlement-epoch, workload knobs...) throw
-  // from their validate(); report them instead of aborting.
+  int (*run)(Args&) = nullptr;
+  if (command == "compare") run = cmd_compare;
+  if (command == "place") run = cmd_place;
+  if (command == "workflow") run = cmd_workflow;
+  if (command == "topology") run = cmd_topology;
+  if (run == nullptr) {
+    usage();
+    return 2;
+  }
+  // Bad flags and invalid configs (bad --tau, --settlement-epoch, workload
+  // knobs...) throw; report them instead of aborting.
   try {
-    if (command == "compare") return cmd_compare(args);
-    if (command == "place") return cmd_place(args);
-    if (command == "workflow") return cmd_workflow(args);
-    if (command == "topology") return cmd_topology(args);
+    Args args(argc, argv);
+    return run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  usage();
-  return 2;
 }

@@ -42,13 +42,6 @@ const std::vector<RuleInfo>& rule_table() {
       {"slab-alias", "src/routing",
        "no retained reference into Engine slab state across a relocation "
        "point (send_tu/fail_payment); no send_tu from on_tu_forwarded"},
-      {"writer-lanes", "src/",
-       "single-writer mailbox lanes and cross-shard inboxes mutate only "
-       "inside their owning component"},
-      {"writer-lanes-transitive", "src/ (call graph)",
-       "lane/mailbox ownership propagates through calls: helpers that write "
-       "owned state make their callers writers; only the sanctioned entry "
-       "APIs cross the component boundary"},
       {"hotpath-alloc", "src/sim, src/routing, src/pcn (call graph)",
        "no allocation (new/make_unique/container or string construction/"
        "reserve/resize) reachable from Engine::handle_event, on_timer "
@@ -56,10 +49,6 @@ const std::vector<RuleInfo>& rule_table() {
       {"slab-alias-escape", "src/routing (call graph)",
        "no slab reference passed into a callee that transitively reaches "
        "send_tu/fail_payment — the callee may relocate the slab it aliases"},
-      {"float-order", "src/ (call graph)",
-       "floating accumulation in merge/parallel contexts (merge, merge_from, "
-       "drain_mailboxes and their callees) is annotated with why summation "
-       "order is deterministic"},
       {"stale-allow", "everywhere linted",
        "a SPLICER_LINT_ALLOW whose rule no longer fires on its covered line "
        "is dead and must be removed (tree runs only)"},
@@ -567,47 +556,6 @@ void check_slab_alias(std::string_view path,
   }
 }
 
-void check_writer_lanes(std::string_view path,
-                        const std::vector<ScrubbedLine>& lines,
-                        std::vector<Finding>& out) {
-  struct Owned {
-    const char* pattern;
-    const char* what;
-    const char* owner_a;
-    const char* owner_b;
-  };
-  static const Owned kOwned[] = {
-      {R"(\blanes_\b)", "ShardedScheduler mailbox lane storage 'lanes_'",
-       "src/sim/sharded_scheduler.h", "src/sim/sharded_scheduler.cpp"},
-      {R"(\bdrain_mailboxes\s*\()", "barrier drain 'drain_mailboxes()'",
-       "src/sim/sharded_scheduler.h", "src/sim/sharded_scheduler.cpp"},
-      {R"(\b(handoff_inbox_|result_inbox_|injected_arrivals_)\b)",
-       "Engine cross-shard inbox state",
-       "src/routing/engine.h", "src/routing/engine.cpp"},
-      {R"(\b(staged_mutations_|mutators_|node_down_depth_|channel_close_depth_)\b)",
-       "Engine hostile-world mutation state",
-       "src/routing/engine.h", "src/routing/engine.cpp"},
-  };
-  static const std::vector<std::regex> kRes = [] {
-    std::vector<std::regex> res;
-    for (const auto& o : kOwned) res.emplace_back(o.pattern);
-    return res;
-  }();
-  for (std::size_t r = 0; r < std::size(kOwned); ++r) {
-    if (path == kOwned[r].owner_a || path == kOwned[r].owner_b) continue;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (std::regex_search(lines[i].code, kRes[r])) {
-        add(out, path, static_cast<int>(i) + 1, "writer-lanes",
-            std::string(kOwned[r].what) +
-                " referenced outside its owning component (" +
-                kOwned[r].owner_a +
-                "): cross-shard state has exactly one writer per window — "
-                "go through the owning-shard API (post/deliver_*)");
-      }
-    }
-  }
-}
-
 /// All file-local rule findings for one scrubbed source, unsuppressed.
 std::vector<Finding> token_findings(std::string_view virtual_path,
                                     const std::vector<ScrubbedLine>& lines,
@@ -621,7 +569,6 @@ std::vector<Finding> token_findings(std::string_view virtual_path,
   }
   if (path_in(virtual_path, kSrcDir)) {
     check_std_function(virtual_path, lines, raw);
-    check_writer_lanes(virtual_path, lines, raw);
   }
   if (path_in(virtual_path, kRoutingDir)) {
     check_slab_alias(virtual_path, lines, raw);

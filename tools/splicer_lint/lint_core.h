@@ -3,8 +3,8 @@
 // splicer-lint: repo-contract static analysis for the determinism-critical
 // core. A token/regex-level checker (no compiler front-end, no LLVM dev
 // dependency) that enforces the source-level contracts behind the repo's
-// CI-gated guarantees — the frozen epoch-0 fig7 event stream, 1-shard
-// parity with the sequential engine, and N-shard byte-identity.
+// CI-gated guarantees — the frozen epoch-0 fig7 event stream and the
+// byte-identity of N-thread and 1-thread experiment runs.
 //
 // The analysis runs in two phases:
 //
@@ -41,14 +41,9 @@
 //                    (send_tu / fail_payment) in the same scope, and
 //                    send_tu must never be dispatched from inside
 //                    on_tu_forwarded (whose TU aliases the live_ slab).
-//   writer-lanes     single-writer mailbox state (ShardedScheduler lanes,
-//                    Engine cross-shard inboxes, Engine mutation state)
-//                    is mutated only inside its owning component's
-//                    translation units.
 //
 // Call-graph rules (tree runs only — see rules_interproc.h for the
-// contracts): writer-lanes-transitive, hotpath-alloc, slab-alias-escape,
-// float-order.
+// contracts): hotpath-alloc, slab-alias-escape.
 //
 // Suppression: a finding is allowed by a comment on the same line, or on a
 // comment-only line directly above the offending code, of the form

@@ -166,102 +166,6 @@ void check_hotpath_alloc(const CallGraph& graph, const SourceMap& sources,
 }
 
 // ---------------------------------------------------------------------------
-// writer-lanes-transitive
-// ---------------------------------------------------------------------------
-
-void check_writer_lanes_transitive(const CallGraph& graph,
-                                   const SourceMap& sources,
-                                   std::vector<Finding>& out) {
-  struct OwnedGroup {
-    const char* pattern;
-    const char* what;
-    const char* owner_a;
-    const char* owner_b;
-    std::set<std::string> sanctioned;  // legal cross-component entry APIs
-  };
-  static const OwnedGroup kGroups[] = {
-      {R"(\blanes_\b|\bdrain_mailboxes\s*\()",
-       "ShardedScheduler mailbox lanes", "src/sim/sharded_scheduler.h",
-       "src/sim/sharded_scheduler.cpp",
-       {"post", "run", "drive"}},
-      {R"(\b(handoff_inbox_|result_inbox_|injected_arrivals_)\b)",
-       "Engine cross-shard inbox state", "src/routing/engine.h",
-       "src/routing/engine.cpp",
-       {"deliver_handoff", "deliver_result", "inject_arrival",
-        "handle_event"}},
-  };
-
-  const std::vector<FunctionDef>& funcs = graph.functions();
-  for (const OwnedGroup& group : kGroups) {
-    const std::regex touch_re(group.pattern);
-    // 1. Functions that touch the owned state directly.
-    std::vector<char> reaching(funcs.size(), 0);
-    std::deque<int> queue;
-    for (std::size_t fi = 0; fi < funcs.size(); ++fi) {
-      bool touches = false;
-      for_each_body_line(funcs[fi], sources,
-                         [&](int, const std::string& code) {
-                           if (!touches && std::regex_search(code, touch_re))
-                             touches = true;
-                         });
-      if (touches) {
-        reaching[fi] = 1;
-        queue.push_back(static_cast<int>(fi));
-      }
-    }
-    // 2. Propagate writer-hood to callers, stopping at sanctioned APIs:
-    //    calling post()/deliver_*() is the legal crossing, so a sanctioned
-    //    function does not make its callers writers.
-    while (!queue.empty()) {
-      const int v = queue.front();
-      queue.pop_front();
-      if (group.sanctioned.count(funcs[static_cast<std::size_t>(v)].name) != 0)
-        continue;
-      for (const int u : graph.in_edges()[static_cast<std::size_t>(v)]) {
-        if (reaching[static_cast<std::size_t>(u)] == 0) {
-          reaching[static_cast<std::size_t>(u)] = 1;
-          queue.push_back(u);
-        }
-      }
-    }
-    // 3. Flag calls from outside the owning component into non-sanctioned
-    //    writer functions. Direct textual touches are the token rule's job
-    //    (writer-lanes); lines that already match the pattern are skipped
-    //    so one violation yields one finding.
-    for (const Edge& e : graph.edges()) {
-      const FunctionDef& caller = funcs[static_cast<std::size_t>(e.caller)];
-      const FunctionDef& callee = funcs[static_cast<std::size_t>(e.callee)];
-      if (reaching[static_cast<std::size_t>(e.callee)] == 0) continue;
-      if (group.sanctioned.count(callee.name) != 0) continue;
-      if (caller.file == group.owner_a || caller.file == group.owner_b)
-        continue;
-      const CallSite& call =
-          caller.calls[static_cast<std::size_t>(e.call_index)];
-      auto src_it = sources.find(caller.file);
-      if (src_it != sources.end() && call.line >= 1 &&
-          static_cast<std::size_t>(call.line) <= src_it->second->size() &&
-          std::regex_search(
-              (*src_it->second)[static_cast<std::size_t>(call.line) - 1].code,
-              touch_re)) {
-        continue;  // token writer-lanes already fires on this line
-      }
-      std::string sanctioned_list;
-      for (const std::string& s : group.sanctioned) {
-        if (!sanctioned_list.empty()) sanctioned_list += "/";
-        sanctioned_list += s;
-      }
-      add(out, caller.file, call.line, "writer-lanes-transitive",
-          "call to '" + graph.qualified_name(e.callee) +
-              "' reaches " + group.what + " (owner: " + group.owner_a +
-              ") from outside the owning component — cross-shard state has "
-              "exactly one writer per window; go through the sanctioned "
-              "APIs (" +
-              sanctioned_list + ") or move the helper into the owner");
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // slab-alias-escape
 // ---------------------------------------------------------------------------
 
@@ -335,50 +239,6 @@ void check_slab_alias_escape(const CallGraph& graph, const SourceMap& sources,
   }
 }
 
-// ---------------------------------------------------------------------------
-// float-order
-// ---------------------------------------------------------------------------
-
-void check_float_order(const CallGraph& graph, const SourceMap& sources,
-                       std::vector<Finding>& out) {
-  std::vector<int> roots;
-  for (const char* name : {"merge", "merge_from", "drain_mailboxes"}) {
-    for (const int r : graph.find_by_name(name)) roots.push_back(r);
-  }
-  if (roots.empty()) return;
-  const CallGraph::Reach reach = graph.reachable_from(roots);
-
-  static const std::regex kAccum(R"((\+=|-=))");
-  static const std::regex kFloatCtx(R"(\b(double|float)\b)");
-
-  const std::vector<FunctionDef>& funcs = graph.functions();
-  for (std::size_t fi = 0; fi < funcs.size(); ++fi) {
-    if (reach.reachable[fi] == 0) continue;
-    const FunctionDef& def = funcs[fi];
-    if (!path_in(def.file, "src/")) continue;
-    bool float_ctx = false;
-    int first_accum = 0;
-    int accum_count = 0;
-    for_each_body_line(def, sources, [&](int ln, const std::string& code) {
-      if (std::regex_search(code, kFloatCtx)) float_ctx = true;
-      if (std::regex_search(code, kAccum)) {
-        ++accum_count;
-        if (first_accum == 0) first_accum = ln;
-      }
-    });
-    if (!float_ctx || first_accum == 0) continue;
-    add(out, def.file, first_accum, "float-order",
-        "floating accumulation in the merge/parallel context " +
-            graph.qualified_name(static_cast<int>(fi)) + " (" +
-            std::to_string(accum_count) +
-            " compound-assignment line(s); reached via " +
-            graph.chain(reach, static_cast<int>(fi)) +
-            ") — shard/trial merge order feeds the byte-identity gates; "
-            "annotate with SPLICER_LINT_ALLOW(float-order): <why the "
-            "summation order is deterministic>");
-  }
-}
-
 }  // namespace
 
 std::vector<Finding> interprocedural_findings(
@@ -386,9 +246,7 @@ std::vector<Finding> interprocedural_findings(
   const SourceMap map = index_sources(sources);
   std::vector<Finding> out;
   check_hotpath_alloc(graph, map, out);
-  check_writer_lanes_transitive(graph, map, out);
   check_slab_alias_escape(graph, map, out);
-  check_float_order(graph, map, out);
   return out;
 }
 
