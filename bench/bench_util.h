@@ -16,9 +16,6 @@
 //   SPLICER_BENCH_TRACE=path      trace CSV for SPLICER_BENCH_WORKLOAD=trace
 //   SPLICER_BENCH_STREAMING=1     engines pull payments lazily (no
 //                                 materialised workload vector)
-//   SPLICER_BENCH_NO_RETAIN=1     evict resolved payment states (the
-//                                 retention contract; metrics unchanged,
-//                                 peak_resident_states stays bounded)
 
 #include <cstdlib>
 #include <cstring>
@@ -76,17 +73,6 @@ inline std::size_t trial_count(int argc, char** argv) {
   const char* v = std::getenv("SPLICER_BENCH_TRIALS");
   return v != nullptr ? std::max<std::size_t>(1, std::strtoull(v, nullptr, 10))
                       : 1;
-}
-
-/// Retention contract: `--no-retain` (or SPLICER_BENCH_NO_RETAIN=1) makes
-/// every engine run evict resolved payment states. Default keeps them (the
-/// CI byte-identity path; reported metrics are identical either way).
-inline bool retain_resolved(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-retain") == 0) return false;
-  }
-  const char* v = std::getenv("SPLICER_BENCH_NO_RETAIN");
-  return v == nullptr || v[0] != '1';
 }
 
 /// Scales a payment count down in fast mode.

@@ -5,12 +5,11 @@
 // single hub saturates under the larger offered load.
 //
 // Usage: bench_fig8_large_scale [--threads N] [--settlement-epoch MS]
-//                               [--trials K] [--no-retain]
+//                               [--trials K]
 //   --threads 0 (default) = all hardware threads
 //   --settlement-epoch 0 (default) = exact per-hop settlement
 //   --trials 1 (default) = single run; K > 1 = mean +/- 95% CI over
 //                          derived-seed workloads
-//   --no-retain = evict resolved payment states (metrics unchanged)
 
 #include "fig_common.h"
 
@@ -18,7 +17,6 @@ int main(int argc, char** argv) {
   using namespace splicer;
   const double epoch_s = bench::settlement_epoch_s(argc, argv);
   const std::size_t trials = bench::trial_count(argc, argv);
-  const bool retain = bench::retain_resolved(argc, argv);
   std::cout << "=== Fig. 8: large-scale network (3000 nodes) ===\n"
             << (bench::fast_mode() ? "(fast mode: quarter workload)\n" : "");
   if (epoch_s > 0) {
@@ -28,8 +26,7 @@ int main(int argc, char** argv) {
   if (trials > 1) {
     std::cout << "(" << trials << " trials: mean +/- 95% CI)\n";
   }
-  if (!retain) std::cout << "(retention off: resolved states evicted)\n";
   bench::run_figure("fig8", bench::large_scale_config(),
-                    bench::thread_count(argc, argv), epoch_s, trials, retain);
+                    bench::thread_count(argc, argv), epoch_s, trials);
   return 0;
 }

@@ -31,17 +31,15 @@ inline std::string percent_cell(const common::RunningStats& stats,
 
 inline void run_figure(const std::string& figure, routing::ScenarioConfig base,
                        std::size_t threads, double settlement_epoch_s = 0.0,
-                       std::size_t trials = 1, bool retain_resolved = true) {
+                       std::size_t trials = 1) {
   using routing::Scheme;
   const auto schemes = routing::comparison_schemes();
   routing::ParallelRunner runner({threads, trials});
 
-  // Engine config shared by every panel; settlement_epoch_s = 0 and
-  // retain_resolved keep the exact legacy engine paths (byte-identical
-  // tables — eviction changes memory, never metrics, but stays opt-in).
+  // Engine config shared by every panel; settlement_epoch_s = 0 keeps the
+  // exact per-hop engine path (byte-identical tables).
   routing::SchemeConfig base_scheme_config;
   base_scheme_config.engine.settlement_epoch_s = settlement_epoch_s;
-  base_scheme_config.engine.retain_resolved = retain_resolved;
 
   const auto scheme_header = [&] {
     std::vector<std::string> header{"sweep"};

@@ -6,13 +6,12 @@
 // sweep point, so the event-count reduction and speedup are measured on
 // exactly the workload the acceptance figures use.
 //
-// Usage: bench_settlement_batching [--threads N] [--no-retain]
+// Usage: bench_settlement_batching [--threads N]
 //   (the sweep itself runs each configuration single-threaded so the
 //    wall-clock column is comparable; --threads is accepted for interface
 //    parity with the other benches and ignored)
-//   --no-retain evicts resolved payment states: same table numbers, but
-//   the "peak resident" column drops from the payment count to the
-//   concurrency level (the retention contract's memory signal)
+// "peak resident" is the most PaymentStates any scheme held at once;
+// resolved states are evicted, so it stays at the concurrency level.
 
 #include <algorithm>
 #include <chrono>
@@ -28,9 +27,6 @@ int main(int argc, char** argv) {
   std::cout << "=== Batched settlement: Fig. 7 workload, epoch sweep ===\n"
             << (bench::fast_mode() ? "(fast mode: quarter workload)\n" : "");
 
-  const bool retain = bench::retain_resolved(argc, argv);
-  if (!retain) std::cout << "(retention off: resolved states evicted)\n";
-
   const auto scenario = routing::prepare_scenario(bench::small_scale_config());
   const auto schemes = routing::comparison_schemes();
   const std::vector<double> epochs_ms{0.0, 5.0, 10.0, 25.0, 50.0};
@@ -45,7 +41,6 @@ int main(int argc, char** argv) {
   for (const double epoch_ms : epochs_ms) {
     routing::SchemeConfig config;
     config.engine.settlement_epoch_s = epoch_ms / 1000.0;
-    config.engine.retain_resolved = retain;
 
     std::uint64_t events = 0, flushes = 0, coalesced = 0;
     std::size_t peak_resident = 0;

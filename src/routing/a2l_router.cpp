@@ -49,7 +49,7 @@ void A2lRouter::on_payment(Engine& engine, const pcn::Payment& payment) {
 void A2lRouter::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) {
   (void)b;
   // Checked lookup: the crypto-phase delay can outlive the payment, whose
-  // resolved state may already be evicted (streaming retention contract).
+  // resolved state may already be evicted.
   const auto* state = engine.find_payment_state(a);
   if (state == nullptr || !state->active()) return;
   const pcn::Payment& payment = state->payment;

@@ -123,7 +123,7 @@ void Engine::handle_event(const sim::EngineEvent& event) {
       if (pos == state.queue.end()) break;  // already drained
       state.queued_value -= pos->amount;
       state.queue.erase(pos);
-      if (config_.validate_queues) check_queue_invariant(channel, d);
+      check_queue_invariant(channel, d);
       LiveTu* live = live_.find(id);
       // Stale (resolved elsewhere): the accounting was released above and
       // there is nothing left to fail.
@@ -317,7 +317,7 @@ void Engine::on_channel_close(ChannelId channel) {
       scheduler_.cancel(entry.mark_event);
       fail_tu(entry.id, FailReason::kChannelClosed);
     }
-    if (config_.validate_queues) check_queue_invariant(channel, d);
+    check_queue_invariant(channel, d);
   }
   // Then refund every unresolved resident TU holding a lock on the closed
   // channel. Collect ids before failing any: batched-mode fail_tu erases
@@ -361,6 +361,7 @@ void Engine::on_arrival(const pcn::Payment& payment) {
   --pending_arrivals_;
   auto [state, inserted] = states_.emplace(payment.id, PaymentState{payment});
   if (!inserted) throw std::logic_error("Engine: duplicate payment id");
+  max_arrived_id_ = std::max(max_arrived_id_, payment.id);
   ++active_payments_;
   note_buffer_peak();
   if (states_.size() > metrics_.peak_resident_states) {
@@ -370,7 +371,6 @@ void Engine::on_arrival(const pcn::Payment& payment) {
   metrics_.value_generated += payment.value;
   // payreq over the secure channel + KMG key issuance.
   metrics_.messages.control_messages += 2;
-  state->deadline_pending = true;
   state->deadline_event = scheduler_.at(
       payment.deadline,
       sim::EngineEvent{.kind = sim::EngineEvent::Kind::kDeadline,
@@ -386,16 +386,6 @@ void Engine::note_buffer_peak() noexcept {
   if (resident > metrics_.peak_payment_buffer) {
     metrics_.peak_payment_buffer = resident;
   }
-}
-
-void Engine::cancel_deadline_event(PaymentId id) {
-  // Per-hop mode never cancels: resolved payments' deadline events fire as
-  // no-ops so the epoch-0 event stream stays byte-identical.
-  if (config_.settlement_epoch_s <= 0) return;
-  auto* state = find_payment_state(id);
-  if (state == nullptr || !state->deadline_pending) return;
-  scheduler_.cancel(state->deadline_event);
-  state->deadline_pending = false;
 }
 
 void Engine::fold_resolution(const PaymentState& state) {
@@ -421,21 +411,13 @@ void Engine::release_live_tu(TuId id) {
 
 void Engine::maybe_evict(PaymentId id) {
   PaymentState* state = states_.find(id);
-  if (state == nullptr) return;
-  if (state->active() || state->live_tus > 0 || state->deadline_pending) return;
-  // Quiescent: resolved, no live TU, deadline event fired/cancelled — no
-  // per-TU hook can ever fire for this payment again. Tell the router once
-  // so it can drop its per-payment map entries; the hook's contract (no TU
-  // dispatch, no event scheduling) keeps the event stream untouched, so
-  // firing it under retention too costs nothing and frees router memory in
-  // long retained runs as well.
-  if (!state->resolution_notified) {
-    state->resolution_notified = true;
-    router_.on_payment_resolved(*this, id);
-  }
-  if (config_.retain_resolved) return;
+  if (state == nullptr || state->active() || state->live_tus > 0) return;
+  // Quiescent: resolved (so its deadline event has fired or been
+  // cancelled) with no live TU, so no per-TU hook can fire for this payment
+  // again. The router drops its per-payment map entries, then the state
+  // goes; an erased state cannot be notified twice.
+  router_.on_payment_resolved(*this, id);
   states_.erase(id);
-  ++metrics_.states_evicted;
 }
 
 TuId Engine::send_tu(TransactionUnit tu) {
@@ -455,11 +437,9 @@ TuId Engine::send_tu(TransactionUnit tu) {
   const TuId id = tu.id;
 
   // Orphan-tolerant: a router may keep dispatching splits of a payment
-  // that a sibling TU's synchronous failure just resolved — and, with
-  // retention off, evicted. The retained engine dispatches TUs for
-  // already-failed payments too, so the orphan TU must flow identically
-  // (its resolution skips the per-payment bookkeeping; everything else is
-  // the same). With retention on a miss still throws.
+  // that a sibling TU's synchronous failure just resolved and evicted. The
+  // orphan TU flows like any other; its resolution skips the per-payment
+  // bookkeeping.
   if (auto* state = state_or_orphan(tu.payment)) {
     state->in_flight += tu.value;
     ++state->live_tus;
@@ -475,18 +455,12 @@ TuId Engine::send_tu(TransactionUnit tu) {
   return id;
 }
 
-PaymentState& Engine::payment_state(PaymentId id) {
-  PaymentState* state = states_.find(id);
-  if (state == nullptr) throw std::out_of_range("Engine: unknown payment");
-  return *state;
-}
-
 PaymentState* Engine::state_or_orphan(PaymentId id) {
   auto* state = find_payment_state(id);
-  if (state == nullptr && config_.retain_resolved) {
-    // Retention on: nothing is ever evicted, so a miss can only be a router
-    // handing the engine a bogus payment id — keep the historical throw
-    // instead of silently moving funds with no bookkeeping.
+  if (state == nullptr && id > max_arrived_id_) {
+    // No payment with this id has arrived, so it cannot have been evicted:
+    // a router handed the engine a bogus id. Throw instead of silently
+    // moving funds with no bookkeeping.
     throw std::out_of_range("Engine: unknown payment");
   }
   return state;
@@ -495,7 +469,7 @@ PaymentState* Engine::state_or_orphan(PaymentId id) {
 void Engine::fail_payment(PaymentId id, FailReason reason) {
   auto* state = state_or_orphan(id);
   if (state == nullptr || !state->active()) return;  // resolved and evicted
-  cancel_deadline_event(id);
+  scheduler_.cancel(state->deadline_event);
   state->failed = true;
   --active_payments_;
   ++metrics_.payments_failed;
@@ -640,7 +614,7 @@ void Engine::deliver(TuId id) {
     state->delivered += live.tu.value;
     if (!state->failed && !state->completed &&
         state->delivered >= state->payment.value) {
-      cancel_deadline_event(state->payment.id);
+      scheduler_.cancel(state->deadline_event);
       state->completed = true;
       --active_payments_;
       state->completion_time = scheduler_.now();
@@ -772,7 +746,7 @@ void Engine::enqueue(TuId id, ChannelId channel, pcn::Direction d) {
   ds.queue.push_back(queued);
   // If blocked on the rate limiter, retry when the bucket frees up.
   if (scheduler_.now() < ds.next_free) schedule_drain(channel, d, ds.next_free);
-  if (config_.validate_queues) check_queue_invariant(channel, d);
+  check_queue_invariant(channel, d);
 }
 
 std::size_t Engine::pick_from_queue(const DirectedState& state) const {
@@ -842,7 +816,7 @@ void Engine::drain_queue(ChannelId channel, pcn::Direction d) {
     ds.queued_value -= amount;
     attempt_hop(entry.id);  // re-checks rate & funds; both were just verified
   }
-  if (config_.validate_queues) check_queue_invariant(channel, d);
+  check_queue_invariant(channel, d);
 }
 
 void Engine::schedule_drain(ChannelId channel, pcn::Direction d, double when) {
@@ -957,13 +931,16 @@ void Engine::flush_settlements(bool drain) {
   for (const TuId id : deferred) attempt_hop(id);
 }
 
+#ifdef SPLICER_AUDIT
 void Engine::check_queue_invariant(ChannelId channel, pcn::Direction d) const {
   const auto& ds = directed(channel, d);
   Amount sum = 0;
   for (const auto& entry : ds.queue) {
     sum += entry.amount;
     const LiveTu* live = live_.find(entry.id);
-    if (live != nullptr &&
+    // A resolved TU's entry is stale (drain_queue drops it) and its vectors
+    // were moved out at resolution: only the charged amount is left to check.
+    if (live != nullptr && !live->resolved &&
         live->tu.hop_amounts[live->tu.next_hop] != entry.amount) {
       throw std::logic_error(
           "Engine: queued amount diverged from the TU's hop amount");
@@ -973,29 +950,14 @@ void Engine::check_queue_invariant(ChannelId channel, pcn::Direction d) const {
     throw std::logic_error("Engine: queued_value drifted from queue contents");
   }
 }
+#endif
 
 void Engine::on_payment_deadline(PaymentId id) {
-  PaymentState* state_ptr = states_.find(id);
-  if (state_ptr == nullptr) return;  // never arrived (should not happen)
-  auto& state = *state_ptr;
-  // Fired: the generation counter already invalidated the event id, so a
-  // late cancel_deadline_event is a detected no-op.
-  state.deadline_pending = false;
-  if (!state.active()) {
-    // Per-hop mode resolves payments without cancelling the deadline event
-    // (the epoch-0 event stream must stay untouched); its no-op firing is
-    // the last reference, so the state can finally go.
-    maybe_evict(id);
-    return;
-  }
-  state.failed = true;
-  --active_payments_;
-  ++metrics_.payments_failed;
-  ++metrics_.payment_fail_reasons[static_cast<std::size_t>(FailReason::kTimeout)];
+  // Every resolution cancels the deadline event, so a firing deadline finds
+  // its payment active. The fired event id is already stale, so the cancel
+  // inside fail_payment is a detected no-op.
   ++metrics_.messages.control_messages;  // withdraw notice
-  fold_resolution(state);
-  router_.on_payment_timeout(*this, id);
-  maybe_evict(id);
+  fail_payment(id, FailReason::kTimeout);
 }
 
 }  // namespace splicer::routing

@@ -53,20 +53,6 @@ struct EngineConfig {
   /// applied in bulk on the next multiple of `settlement_epoch_s` — one
   /// flush event per active epoch instead of one event per hop.
   double settlement_epoch_s = 0.0;
-  /// Debug: after every queue mutation, re-derive each touched queue's
-  /// value from its entries and throw on any drift (invariant test suite).
-  bool validate_queues = false;
-  /// Retention contract for resolved PaymentStates. true (default) keeps
-  /// every state for the whole run — the legacy behaviour, required when
-  /// callers inspect payment_state() after run() returns. false evicts a
-  /// resolved payment's state as soon as nothing can reference it any more
-  /// (no live TU, no queue entry, no pending deadline event, no epoch
-  /// buffer), so a truly unbounded streaming run holds O(concurrency)
-  /// states instead of one per payment ever processed. All reported
-  /// metrics are folded into streaming accumulators at resolution time and
-  /// are identical in both modes; only memory (peak_resident_states) and
-  /// the states_evicted counter differ.
-  bool retain_resolved = true;
   /// Hostile-world scenario pack: fault injection, channel churn, per-edge
   /// fee/timelock policies (see pcn/scenario_mutator.h). All rates default
   /// to 0, in which case no mutator is built, no mutation event is ever
@@ -109,16 +95,12 @@ struct EngineMetrics {
   /// look-ahead payment), so this stays at the workload's concurrency
   /// level rather than its total size - the streaming-scale signal.
   std::size_t peak_payment_buffer = 0;
-  /// Peak number of PaymentStates simultaneously resident. With
-  /// retain_resolved (default) this equals payments_generated by the end
-  /// of the run; with eviction it stays at the concurrency level — the
-  /// retention-contract memory signal.
+  /// Peak number of PaymentStates simultaneously resident. A resolved
+  /// state is erased once no live TU references it, so this stays at the
+  /// concurrency level, not the workload size.
   std::size_t peak_resident_states = 0;
-  /// Resolved PaymentStates evicted (always 0 when retain_resolved).
-  std::uint64_t states_evicted = 0;
-  /// Streaming per-run accumulators, folded at resolution time so no
-  /// metric ever needs a post-hoc scan over retained states (the retention
-  /// contract: resolved states may be long gone by the end of the run).
+  /// Streaming per-run accumulators, folded at resolution time: resolved
+  /// states are gone by the end of the run, so no metric can scan them.
   common::RunningStats completion_delay_stats;  // seconds, completed payments
   common::RunningStats tus_per_payment_stats;   // TUs launched per resolved payment
   /// Value delivered by payments that nonetheless failed (partial
@@ -161,10 +143,9 @@ struct EngineMetrics {
   }
 };
 
-/// Per-payment progress (router-visible). With eviction enabled
-/// (EngineConfig::retain_resolved == false) a resolved state disappears as
-/// soon as the last engine-side reference is gone — routers must reach it
-/// through Engine::find_payment_state() from any context that can outlive
+/// Per-payment progress (router-visible). A resolved state is erased as
+/// soon as its last live TU is released, so routers must reach it through
+/// Engine::find_payment_state() from any context that can outlive
 /// resolution (deferred lambdas, demand queues, recurring ticks).
 struct PaymentState {
   pcn::Payment payment;
@@ -179,17 +160,9 @@ struct PaymentState {
   /// Total TUs ever launched for this payment (the retry signal folded
   /// into EngineMetrics::tus_per_payment_stats at resolution).
   std::uint32_t tus_launched = 0;
-  /// The deadline event has not fired/been cancelled yet. Per-hop mode
-  /// lets resolved payments' deadline events fire as no-ops (keeping the
-  /// epoch-0 event stream byte-identical), so eviction must wait for them.
-  bool deadline_pending = false;
-  /// The pending deadline event (valid while deadline_pending). Batched
-  /// mode cancels it on resolution; stored inline so no side map is needed.
+  /// The deadline event, pending while the payment is active: every
+  /// resolution cancels it. Stored inline so no side map is needed.
   sim::Scheduler::EventId deadline_event = 0;
-  /// Router::on_payment_resolved has fired for this payment (it fires
-  /// exactly once, at quiescence — resolved with no live TU and no pending
-  /// deadline event — whether or not the state is then evicted).
-  bool resolution_notified = false;
 
   [[nodiscard]] Amount remaining_to_dispatch() const noexcept {
     return payment.value - delivered - in_flight;
@@ -227,12 +200,8 @@ class Engine : private sim::EventSink {
   /// back through Router::on_tu_delivered / on_tu_failed.
   TuId send_tu(TransactionUnit tu);
 
-  /// Strict lookup: throws on an unknown (or evicted) payment. Safe from
-  /// any context holding a live TU of the payment — the TU pins the state.
-  [[nodiscard]] PaymentState& payment_state(PaymentId id);
-
-  /// Checked lookup that tolerates eviction: nullptr when the payment is
-  /// unknown or its resolved state has been evicted (treat as inactive).
+  /// nullptr when the payment is unknown or resolved and evicted (treat
+  /// as inactive). A live TU of the payment pins its state.
   [[nodiscard]] PaymentState* find_payment_state(PaymentId id) noexcept {
     return states_.find(id);
   }
@@ -363,11 +332,10 @@ class Engine : private sim::EventSink {
   std::size_t pick_from_queue(const DirectedState& state) const;
   void on_payment_deadline(PaymentId id);
 
-  // Retention contract.
+  // Payment-state lifetime.
   /// Orphan-tolerant lookup for engine-internal TU paths: nullptr means
-  /// the payment was resolved and evicted (only possible with retention
-  /// off); with retention on a miss is a caller bug and throws like
-  /// payment_state().
+  /// the payment was resolved and evicted. An id above every arrived id
+  /// can only be a router bug and throws std::out_of_range.
   [[nodiscard]] PaymentState* state_or_orphan(PaymentId id);
   /// Folds the payment's final outcome (latency, TU count, partial value)
   /// into the streaming accumulators. Called exactly once, at resolution.
@@ -376,8 +344,8 @@ class Engine : private sim::EventSink {
   /// the state when that was the last reference. Replaces every direct
   /// live_.erase() at TU release sites.
   void release_live_tu(TuId id);
-  /// Evicts the payment's state iff eviction is enabled, the payment is
-  /// resolved and nothing (live TU, deadline event) references it.
+  /// Once the payment is resolved with no live TU, notifies the router
+  /// (Router::on_payment_resolved) and erases the state.
   void maybe_evict(PaymentId id);
 
   // Batched settlement (settlement_epoch_s > 0).
@@ -387,15 +355,18 @@ class Engine : private sim::EventSink {
   /// (settle on delivery, refund on failure).
   void add_pending_locked_hops(const LiveTu& live, bool is_settle);
   void schedule_flush();
-  /// Cancels the payment's pending deadline event (batched mode only; the
-  /// payment must still be unresolved, i.e. the event has not fired).
-  void cancel_deadline_event(PaymentId id);
   /// Applies every pending settle/refund total, then (if `drain`) retries
   /// the queues whose funds changed.
   void flush_settlements(bool drain);
 
-  /// validate_queues hook: recomputes the queue's value from its entries.
+  /// SPLICER_AUDIT witness, run after every queue mutation: re-derives the
+  /// queue's value from its entries and throws on drift. Compiles to
+  /// nothing in other builds.
+#ifdef SPLICER_AUDIT
   void check_queue_invariant(ChannelId channel, pcn::Direction d) const;
+#else
+  void check_queue_invariant(ChannelId, pcn::Direction) const noexcept {}
+#endif
 
   // Hostile-world mutation plumbing (inert unless config_.hostile enables
   // a mutator). The engine replays the merged mutator streams through its
@@ -449,13 +420,14 @@ class Engine : private sim::EventSink {
   double last_deadline_seen_ = 0.0;  // grows as payments are pulled
   std::size_t pending_arrivals_ = 0; // pulled but not yet arrived (<= 1)
   std::size_t active_payments_ = 0;  // arrived, not yet resolved
+  PaymentId max_arrived_id_ = 0;     // state_or_orphan's router-bug bound
   // The one pulled-but-not-arrived payment (pending_arrivals_ <= 1); its
   // kArrival event carries no payload, it just claims this slot.
   std::optional<pcn::Payment> staged_arrival_;
 
   // Slab stores exploiting that PaymentId/TuId are dense sequential ids:
   // hot-path lookups are a subtraction and a masked index instead of a
-  // hash-map probe. Eviction (PR 4) frees the slot back into the window.
+  // hash-map probe. Eviction frees the slot back into the window.
   common::DenseIdMap<PaymentState> states_;
   common::DenseIdMap<LiveTu> live_;
   std::vector<DirectedState> directed_;

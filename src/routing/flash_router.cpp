@@ -156,8 +156,8 @@ void FlashRouter::on_tu_failed(Engine& engine, const TransactionUnit& tu,
   progress.failed_value += tu.value;
 
   // Checked lookup: a sibling split's synchronous failure can resolve the
-  // payment — and, under the retention contract, evict its state — before
-  // this TU unwinds. Evicted == resolved == nothing left to retry.
+  // payment and evict its state before this TU unwinds. Evicted ==
+  // resolved == nothing left to retry.
   const auto* state = engine.find_payment_state(tu.payment);
   if (state == nullptr || !state->active()) return;
   if (progress.outstanding > 0) return;  // wait until all splits resolve
@@ -170,7 +170,7 @@ void FlashRouter::on_tu_failed(Engine& engine, const TransactionUnit& tu,
   const Amount retry_value = progress.failed_value;
   progress.failed_value = 0;
   // Copy: the retry's own splits can fail synchronously, resolve the
-  // payment and (retention off) evict the state this reference points into.
+  // payment and evict the state this reference points into.
   const pcn::Payment payment = state->payment;
   if (progress.elephant) {
     send_elephant(engine, payment, retry_value, progress);

@@ -139,8 +139,8 @@ void LandmarkRouter::on_tu_failed(Engine& engine, const TransactionUnit& tu,
                                   FailReason reason) {
   (void)reason;
   // Checked lookup: a sibling chunk's synchronous failure can resolve the
-  // payment — and, under the retention contract, evict its state — before
-  // this TU unwinds. Evicted == resolved == nothing left to retry.
+  // payment and evict its state before this TU unwinds. Evicted ==
+  // resolved == nothing left to retry.
   const auto* state = engine.find_payment_state(tu.payment);
   if (state == nullptr || !state->active()) return;
   auto& retries = retries_left_[tu.payment];

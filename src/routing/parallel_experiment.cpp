@@ -1,5 +1,6 @@
 #include "routing/parallel_experiment.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -31,7 +32,11 @@ std::vector<std::vector<TaskResult>> ParallelRunner::run(
   const std::size_t K = config_.trials;
   const std::size_t T = tasks.size();
 
-  sim::ThreadPool pool(config_.threads);
+  // No more workers than simulations (0 still means one per hardware
+  // thread): results land at fixed indices, so the count changes no
+  // output, and a huge thread count never asks the host for threads it
+  // cannot spawn.
+  sim::ThreadPool pool(std::min(config_.threads, S * K * T));
 
   // Phase 1: prepare each (scenario, trial) workload once. Trial 0 keeps
   // the caller's seed so results match the sequential path exactly; later
@@ -91,7 +96,6 @@ std::vector<std::vector<TaskResult>> ParallelRunner::run(
         cell.throughput.add(m.normalized_throughput());
         cell.delay_s.add(m.average_delay_s());
         cell.messages.add(static_cast<double>(m.messages.total()));
-        cell.peak_resident.add(static_cast<double>(m.peak_resident_states));
         cell.trials.push_back(std::move(m));
       }
     }
@@ -113,7 +117,7 @@ std::vector<std::vector<TaskResult>> ParallelRunner::run_prepared(
   const std::size_t S = scenarios.size();
   const std::size_t T = tasks.size();
 
-  sim::ThreadPool pool(config_.threads);
+  sim::ThreadPool pool(std::min(config_.threads, S * T));  // see run()
   std::vector<EngineMetrics> raw(S * T);
   for (std::size_t s = 0; s < S; ++s) {
     for (std::size_t t = 0; t < T; ++t) {
@@ -135,7 +139,6 @@ std::vector<std::vector<TaskResult>> ParallelRunner::run_prepared(
       cell.throughput.add(m.normalized_throughput());
       cell.delay_s.add(m.average_delay_s());
       cell.messages.add(static_cast<double>(m.messages.total()));
-      cell.peak_resident.add(static_cast<double>(m.peak_resident_states));
       cell.trials.push_back(std::move(m));
     }
   }

@@ -56,16 +56,15 @@ struct TaskResult {
   common::RunningStats throughput;
   common::RunningStats delay_s;
   common::RunningStats messages;
-  /// Peak resident PaymentStates per trial (the retention-contract memory
-  /// signal; equals the payment count unless eviction is enabled).
-  common::RunningStats peak_resident;
 
   /// Trial-0 metrics: bit-identical to the sequential single-run path.
   [[nodiscard]] const EngineMetrics& first() const { return trials.front(); }
 };
 
 struct ParallelRunnerConfig {
-  std::size_t threads = 0;  // 0 = one per hardware thread
+  /// Worker threads, capped at the simulations of each call; 0 = one per
+  /// hardware thread.
+  std::size_t threads = 0;
   std::size_t trials = 1;   // independent derived-seed repetitions
 };
 

@@ -60,7 +60,7 @@ void RateRouterBase::on_payment(Engine& engine, const pcn::Payment& payment) {
 void RateRouterBase::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) {
   if (b == kAdmitTimer) {
     // Checked lookup: the decision delay can outlive the payment, and a
-    // resolved state may already be evicted (streaming retention contract).
+    // resolved state may already be evicted.
     const auto* state = engine.find_payment_state(a);
     if (state == nullptr || !state->active()) return;  // already timed out
     // SPLICER_LINT_ALLOW(slab-alias-escape): admit_demand re-fetches the
@@ -77,7 +77,7 @@ void RateRouterBase::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) 
 
 void RateRouterBase::admit_demand(Engine& engine, const pcn::Payment& payment) {
   // Checked lookup: the decision delay can outlive the payment, and a
-  // resolved state may already be evicted (streaming retention contract).
+  // resolved state may already be evicted.
   const auto* state = engine.find_payment_state(payment.id);
   if (state == nullptr || !state->active()) return;  // already timed out
   const PairKey pair = pair_of(engine, payment);
@@ -296,8 +296,7 @@ void RateRouterBase::try_send(Engine& engine, const PairKey& pair,
                               std::max(1.0, std::floor(path.window)))) {
     return;  // window-bound; re-armed on delivery/failure
   }
-  // Pop exhausted/inactive demands. Evicted states (resolved payments whose
-  // PaymentState is already gone under the retention contract) count as
+  // Pop exhausted/inactive demands. An evicted state (nullptr) counts as
   // inactive, exactly like a still-resident resolved state.
   const PaymentState* front_state = nullptr;
   while (!state.demands.empty()) {

@@ -120,12 +120,11 @@ class Router {
     (void)payment;
   }
 
-  /// The payment reached quiescence: resolved (completed or failed), no
-  /// live TU remains and its deadline event has fired or been cancelled —
-  /// the engine will never invoke another per-TU hook for it. Fired exactly
-  /// once per payment, immediately before the state would be evicted (it
-  /// also fires, at the same point, when retention keeps the state). This
-  /// is the place to erase per-payment entries from router-side maps.
+  /// The payment reached quiescence: resolved (completed or failed) and
+  /// no live TU remains — the engine will never invoke another per-TU hook
+  /// for it. Fired exactly once per payment, immediately before its state
+  /// is evicted. This is the place to erase per-payment entries from
+  /// router-side maps.
   /// Contract: the hook must not dispatch TUs or schedule events — firing
   /// it must leave the simulation's event stream untouched.
   virtual void on_payment_resolved(Engine& engine, PaymentId payment) {

@@ -19,8 +19,15 @@ ThreadPool::ThreadPool(std::size_t threads) {
   for (std::size_t i = 0; i < threads; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  for (std::size_t i = 0; i < threads; ++i) {
-    shards_[i]->worker = std::thread([this, i] { worker_loop(i); });
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      shards_[i]->worker = std::thread([this, i] { worker_loop(i); });
+    }
+  } catch (...) {
+    // The host refused a worker: the ones already running are joinable,
+    // and destroying a joinable std::thread terminates the process.
+    stop_workers();
+    throw;
   }
 }
 
@@ -30,6 +37,10 @@ ThreadPool::~ThreadPool() {
     std::unique_lock lock(done_mutex_);
     all_done_.wait(lock, [this] { return pending_ == 0; });
   }
+  stop_workers();
+}
+
+void ThreadPool::stop_workers() {
   stopping_.store(true, std::memory_order_release);
   for (auto& shard : shards_) {
     {

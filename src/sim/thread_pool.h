@@ -98,6 +98,8 @@ class ThreadPool {
   };
 
   void worker_loop(std::size_t shard_index);
+  /// Wakes every worker and joins the ones that were started.
+  void stop_workers();
   void record_exception(std::exception_ptr error);
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -1,8 +1,9 @@
 // Queue-accounting and funds-conservation invariants under randomized
-// traffic. The engine is run with EngineConfig::validate_queues, which
-// re-derives every touched queue's value from its entries after each
-// enqueue/drain/mark and throws on any drift — the regression guard for
-// the queued_value leaks fixed alongside batched settlement.
+// traffic. Every run must end with no resident TU and no wedged queue
+// value. SPLICER_AUDIT builds also re-derive every touched queue's value
+// from its entries after each enqueue/drain/mark and throw on any drift —
+// the regression guard for the queued_value leaks fixed alongside batched
+// settlement.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,12 @@ namespace splicer::routing {
 namespace {
 
 using common::whole_tokens;
+
+/// The deadlock witnesses finish_run() stamps: nothing alive or queued.
+void expect_nothing_wedged(const EngineMetrics& m) {
+  EXPECT_EQ(m.resident_tus_at_end, 0u);
+  EXPECT_EQ(m.wedged_queue_value, 0);
+}
 
 /// Sends every payment over its shortest path as a single TU; enough to
 /// exercise locks, queues, marking and refunds without router policy noise.
@@ -76,13 +83,14 @@ EngineMetrics run_randomized(SchedulingPolicy policy, double epoch_s,
   config.queue_capacity = whole_tokens(120);
   config.process_rate_tokens_per_s = 400.0;
   config.settlement_epoch_s = epoch_s;
-  config.validate_queues = true;
   config.seed = seed;
 
   Engine engine(std::move(net), random_payments(250, 40, seed), router, config);
-  // run() itself asserts funds conservation; validate_queues asserts the
+  // run() itself asserts funds conservation; audit builds also assert the
   // queued_value invariant after every queue mutation.
-  return engine.run();
+  const EngineMetrics m = engine.run();
+  expect_nothing_wedged(m);
+  return m;
 }
 
 class QueueInvariants
@@ -130,7 +138,7 @@ TEST(QueueInvariants, BatchedModeMatchesThroughputClosely) {
 
 TEST(QueueInvariants, FullSchemeStackHoldsUnderBatching) {
   // End-to-end: the real experiment harness (placement + rate protocol +
-  // queues) with validation on, per-hop and batched.
+  // queues), per-hop and batched.
   ScenarioConfig sc;
   sc.seed = 5;
   sc.topology.nodes = 50;
@@ -142,9 +150,9 @@ TEST(QueueInvariants, FullSchemeStackHoldsUnderBatching) {
     for (const auto scheme : {Scheme::kSplicer, Scheme::kSpider}) {
       SchemeConfig config;
       config.engine.settlement_epoch_s = epoch_s;
-      config.engine.validate_queues = true;
       const auto m = run_scheme(scenario, scheme, config);
       EXPECT_GT(m.payments_generated, 0u);
+      expect_nothing_wedged(m);
     }
   }
 }

@@ -375,13 +375,17 @@ TEST(Engine, MetricsCountsGeneratedAndValue) {
   EXPECT_DOUBLE_EQ(m.normalized_throughput(), 0.0);
 }
 
-TEST(Engine, UnknownPaymentIdStillThrowsWithRetentionOn) {
-  // The orphan-tolerant TU paths only apply under eviction; with
-  // retain_resolved (default) nothing is ever evicted, so a miss is a
-  // router bug and must keep the historical out_of_range throw.
+TEST(Engine, UnknownPaymentIdStillThrows) {
+  // The orphan-tolerant TU paths cover evicted payments only. An id above
+  // every arrived id cannot have been evicted, so it is a router bug and
+  // keeps the out_of_range throw.
   ScriptedRouter router([](Engine& engine, const pcn::Payment& payment) {
-    EXPECT_THROW((void)engine.payment_state(payment.id + 999),
-                 std::out_of_range);
+    if (payment.id == 2) {
+      // Payment 1 failed with no TU in flight, so its state is already gone
+      // and the id is an orphan: a no-op, not a throw.
+      EXPECT_EQ(engine.find_payment_state(1), nullptr);
+      EXPECT_NO_THROW(engine.fail_payment(1, FailReason::kNoPath));
+    }
     EXPECT_EQ(engine.find_payment_state(payment.id + 999), nullptr);
     EXPECT_THROW(engine.fail_payment(payment.id + 999, FailReason::kNoPath),
                  std::out_of_range);
@@ -394,11 +398,13 @@ TEST(Engine, UnknownPaymentIdStillThrowsWithRetentionOn) {
     EXPECT_THROW(engine.send_tu(std::move(tu)), std::out_of_range);
     engine.fail_payment(payment.id, FailReason::kNoPath);
   });
-  Engine engine(line_network(), {make_payment(1, 0, 2, whole_tokens(1))},
+  Engine engine(line_network(),
+                {make_payment(1, 0, 2, whole_tokens(1)),
+                 make_payment(2, 0, 2, whole_tokens(1), 0.2)},
                 router, {});
   const auto m = engine.run();
-  EXPECT_EQ(m.payments_failed, 1u);
-  EXPECT_EQ(m.states_evicted, 0u);
+  EXPECT_EQ(m.payments_failed, 2u);
+  EXPECT_EQ(m.peak_resident_states, 1u);
 }
 
 TEST(Engine, ConstructorRejectsInvalidConfig) {

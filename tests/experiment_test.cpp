@@ -144,46 +144,6 @@ TEST(Scenario, StreamingModeMatchesMaterialisedRuns) {
   }
 }
 
-TEST(RunScheme, EvictionMatchesRetainedRunsForEveryScheme) {
-  // Retention contract: retain_resolved only changes the memory profile.
-  // Real schemes exercise the hard paths (multi-split retries that outlive
-  // a synchronous payment resolution, batched-epoch deferred eviction), so
-  // every reported metric must match the retained run bit for bit.
-  const auto scenario = prepare_scenario(small_config(33));
-  for (const double epoch_s : {0.0, 0.005}) {
-    for (const auto scheme :
-         {Scheme::kSplicer, Scheme::kSpider, Scheme::kFlash,
-          Scheme::kLandmark, Scheme::kA2l, Scheme::kShortestPath}) {
-      SchemeConfig config;
-      config.engine.settlement_epoch_s = epoch_s;
-      config.engine.retain_resolved = true;
-      const auto a = run_scheme(scenario, scheme, config);
-      config.engine.retain_resolved = false;
-      const auto b = run_scheme(scenario, scheme, config);
-      const auto label = std::string(to_string(scheme)) + " epoch " +
-                         std::to_string(epoch_s);
-      EXPECT_EQ(a.payments_completed, b.payments_completed) << label;
-      EXPECT_EQ(a.payments_failed, b.payments_failed) << label;
-      EXPECT_EQ(a.value_completed, b.value_completed) << label;
-      EXPECT_DOUBLE_EQ(a.completion_delay_stats.sum(),
-                       b.completion_delay_stats.sum())
-          << label;
-      EXPECT_DOUBLE_EQ(a.tus_per_payment_stats.sum(),
-                       b.tus_per_payment_stats.sum())
-          << label;
-      EXPECT_EQ(a.failed_delivered_value, b.failed_delivered_value) << label;
-      EXPECT_EQ(a.tus_sent, b.tus_sent) << label;
-      EXPECT_EQ(a.tus_failed, b.tus_failed) << label;
-      EXPECT_EQ(a.messages.total(), b.messages.total()) << label;
-      EXPECT_EQ(a.scheduler_events, b.scheduler_events) << label;
-      // The memory profile is the only difference.
-      EXPECT_EQ(a.states_evicted, 0u) << label;
-      EXPECT_EQ(b.states_evicted, b.payments_generated) << label;
-      EXPECT_LT(b.peak_resident_states, a.peak_resident_states) << label;
-    }
-  }
-}
-
 TEST(Scenario, AlternativeWorkloadKindsRunEndToEnd) {
   for (const auto kind : {pcn::WorkloadKind::kBursty,
                           pcn::WorkloadKind::kHotspot}) {

@@ -237,9 +237,11 @@ TEST(RateProtocol, ZeroTauThrowsInsteadOfHanging) {
   EXPECT_THROW((void)engine.run(), std::invalid_argument);
 }
 
-// Pinned outcomes of a 60-node scenario under exact (epoch 0) and batched
-// (10 ms epoch) settlement. The frozen fig7 baseline covers epoch 0 only;
-// these values also pin the price/probe tick on the batched path.
+// Pinned outcomes of all six schemes on a 60-node scenario under exact
+// (epoch 0) and batched (10 ms epoch) settlement. The frozen fig7 baseline
+// covers epoch 0 only; these values also pin the price/probe tick on the
+// batched path, and they match runs that kept every resolved payment
+// state, so evicting states moves no outcome.
 TEST(RateProtocol, GoldenOutcomesAcrossSettlementModes) {
   ScenarioConfig scenario_config;
   scenario_config.seed = 7;
@@ -259,10 +261,18 @@ TEST(RateProtocol, GoldenOutcomesAcrossSettlementModes) {
     std::uint64_t messages;
   };
   const Golden kGolden[] = {
-      {Scheme::kSplicer, 0.0, 221, 11297072, 3924, 33469, 29068},
+      {Scheme::kSplicer, 0.0, 221, 11297072, 3924, 33248, 29068},
       {Scheme::kSplicer, 0.01, 218, 11143054, 3853, 16408, 28416},
-      {Scheme::kSpider, 0.0, 170, 4855386, 3396, 29213, 58999},
+      {Scheme::kSpider, 0.0, 170, 4855386, 3396, 29043, 58999},
       {Scheme::kSpider, 0.01, 170, 4855386, 3396, 13500, 58994},
+      {Scheme::kFlash, 0.0, 208, 10988313, 431, 2796, 3277},
+      {Scheme::kFlash, 0.01, 209, 11019763, 430, 1449, 3290},
+      {Scheme::kLandmark, 0.0, 155, 4317000, 1891, 12950, 10575},
+      {Scheme::kLandmark, 0.01, 155, 4701182, 1893, 3368, 10759},
+      {Scheme::kA2l, 0.0, 234, 18066854, 250, 1725, 2700},
+      {Scheme::kA2l, 0.01, 234, 18066854, 250, 1276, 2700},
+      {Scheme::kShortestPath, 0.0, 145, 3912317, 250, 1292, 1435},
+      {Scheme::kShortestPath, 0.01, 145, 3912317, 250, 824, 1435},
   };
   for (const auto& g : kGolden) {
     SchemeConfig config;

@@ -238,8 +238,7 @@ TEST(A2lRouterTest, NonStarEndpointFails) {
 
 TEST(RouterPaymentMaps, EmptyAfterEveryRun) {
   // on_payment_resolved fires for every payment at quiescence, so no
-  // router-side per-payment map can outlive its payment, with or without
-  // retention of resolved states.
+  // router-side per-payment map can outlive its payment.
   ScenarioConfig scenario_config;
   scenario_config.seed = 55;
   scenario_config.topology.nodes = 60;
@@ -247,30 +246,27 @@ TEST(RouterPaymentMaps, EmptyAfterEveryRun) {
   scenario_config.workload.payment_count = 150;
   scenario_config.workload.horizon_seconds = 6.0;
   const auto scenario = prepare_scenario(scenario_config);
-  for (const bool retain : {true, false}) {
-    EngineConfig config;
-    config.retain_resolved = retain;
-    {
-      config.queues_enabled = true;
-      SplicerRouter router(scenario.multi_star.hub_of, scenario.multi_star.hubs);
-      Engine engine(scenario.multi_star.network, scenario.make_source(),
-                    router, config);
-      (void)engine.run();
-      EXPECT_EQ(router.tracked_payments(), 0u) << "Splicer retain=" << retain;
-    }
-    config.queues_enabled = false;
-    {
-      FlashRouter router;
-      Engine engine(scenario.raw, scenario.make_source(), router, config);
-      (void)engine.run();
-      EXPECT_EQ(router.tracked_payments(), 0u) << "Flash retain=" << retain;
-    }
-    {
-      LandmarkRouter router;
-      Engine engine(scenario.raw, scenario.make_source(), router, config);
-      (void)engine.run();
-      EXPECT_EQ(router.tracked_payments(), 0u) << "Landmark retain=" << retain;
-    }
+  EngineConfig config;
+  {
+    config.queues_enabled = true;
+    SplicerRouter router(scenario.multi_star.hub_of, scenario.multi_star.hubs);
+    Engine engine(scenario.multi_star.network, scenario.make_source(), router,
+                  config);
+    (void)engine.run();
+    EXPECT_EQ(router.tracked_payments(), 0u) << "Splicer";
+  }
+  config.queues_enabled = false;
+  {
+    FlashRouter router;
+    Engine engine(scenario.raw, scenario.make_source(), router, config);
+    (void)engine.run();
+    EXPECT_EQ(router.tracked_payments(), 0u) << "Flash";
+  }
+  {
+    LandmarkRouter router;
+    Engine engine(scenario.raw, scenario.make_source(), router, config);
+    (void)engine.run();
+    EXPECT_EQ(router.tracked_payments(), 0u) << "Landmark";
   }
 }
 

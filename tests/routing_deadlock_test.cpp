@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "graph/generators.h"
 #include "routing/engine.h"
@@ -45,6 +47,54 @@ std::vector<pcn::Payment> fig1_streams(double seconds) {
   return payments;
 }
 
+/// Forwards every hook to `inner` and records each completed payment's
+/// sender and completion time in on_payment_resolved, the last point at
+/// which the engine still holds the payment's state.
+class CompletionRecorder : public Router {
+ public:
+  struct Completion {
+    NodeId sender;
+    double time;
+  };
+
+  explicit CompletionRecorder(Router& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  void on_start(Engine& engine) override { inner_.on_start(engine); }
+  void on_payment(Engine& engine, const pcn::Payment& payment) override {
+    inner_.on_payment(engine, payment);
+  }
+  void on_tu_delivered(Engine& engine, const TransactionUnit& tu) override {
+    inner_.on_tu_delivered(engine, tu);
+  }
+  void on_tu_failed(Engine& engine, const TransactionUnit& tu,
+                    FailReason reason) override {
+    inner_.on_tu_failed(engine, tu, reason);
+  }
+  void on_tu_forwarded(Engine& engine, const TransactionUnit& tu,
+                       ChannelId channel, pcn::Direction direction) override {
+    inner_.on_tu_forwarded(engine, tu, channel, direction);
+  }
+  void on_payment_timeout(Engine& engine, PaymentId payment) override {
+    inner_.on_payment_timeout(engine, payment);
+  }
+  void on_payment_resolved(Engine& engine, PaymentId payment) override {
+    const PaymentState* state = engine.find_payment_state(payment);
+    if (state != nullptr && state->completed) {
+      completions.push_back({state->payment.sender, state->completion_time});
+    }
+    inner_.on_payment_resolved(engine, payment);
+  }
+  void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) override {
+    inner_.on_timer(engine, a, b);
+  }
+
+  std::vector<Completion> completions;
+
+ private:
+  Router& inner_;
+};
+
 struct StreamStats {
   int completed_ab = 0, total_ab = 0;
   int completed_cb = 0, total_cb = 0;
@@ -52,22 +102,27 @@ struct StreamStats {
   double last_completion = 0.0;
 };
 
-StreamStats analyze(Engine& engine, const std::vector<pcn::Payment>& payments) {
+StreamStats analyze(const CompletionRecorder& recorder,
+                    const std::vector<pcn::Payment>& payments) {
   StreamStats stats;
   for (const auto& p : payments) {
-    const auto& st = engine.payment_state(p.id);
-    const bool done = st.completed;
     if (p.sender == 0) {
       ++stats.total_ab;
-      stats.completed_ab += done;
     } else if (p.sender == 2) {
       ++stats.total_cb;
-      stats.completed_cb += done;
     } else {
       ++stats.total_ba;
-      stats.completed_ba += done;
     }
-    if (done) stats.last_completion = std::max(stats.last_completion, st.completion_time);
+  }
+  for (const auto& c : recorder.completions) {
+    if (c.sender == 0) {
+      ++stats.completed_ab;
+    } else if (c.sender == 2) {
+      ++stats.completed_cb;
+    } else {
+      ++stats.completed_ba;
+    }
+    stats.last_completion = std::max(stats.last_completion, c.time);
   }
   return stats;
 }
@@ -75,11 +130,12 @@ StreamStats analyze(Engine& engine, const std::vector<pcn::Payment>& payments) {
 TEST(Fig1Deadlock, NaiveRoutingDeadlocksCompletely) {
   const auto payments = fig1_streams(30.0);
   ShortestPathRouter naive;
+  CompletionRecorder recorder(naive);
   EngineConfig config;
   config.queues_enabled = false;
-  Engine engine(fig1_network(), payments, naive, config);
+  Engine engine(fig1_network(), payments, recorder, config);
   const auto m = engine.run();
-  const auto stats = analyze(engine, payments);
+  const auto stats = analyze(recorder, payments);
 
   // The imbalanced rates drain C: after ~10 s nothing completes, even the
   // balanced A<->B streams with ample total funds ("local deadlock").
@@ -97,11 +153,12 @@ TEST(Fig1Deadlock, SplicerSustainsBalancedFlows) {
   rc.protocol.k_paths = 1;
   rc.protocol.initial_rate_tps = 20.0;  // proportionate to 20-token channels
   SplicerRouter splicer({2, 2, 2}, {2}, rc);
+  CompletionRecorder recorder(splicer);
   EngineConfig config;
   config.queues_enabled = true;
-  Engine engine(fig1_network(), payments, splicer, config);
+  Engine engine(fig1_network(), payments, recorder, config);
   const auto m = engine.run();
-  const auto stats = analyze(engine, payments);
+  const auto stats = analyze(recorder, payments);
 
   // The fluid-model optimum here is 2 tokens/s: A->B and B->A at 1 each
   // (paper SS II-B), i.e. TSR = 60/150 = 40%. Splicer's discrete protocol

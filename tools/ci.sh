@@ -26,14 +26,16 @@
 # records the events/sec trajectory of the event loop.
 #
 # Finally the workload subsystem smokes: a trace replay of the checked-in
-# example trace through splicer_cli, plus streaming bursty/hotspot runs and
-# a streaming --no-retain run (the retention contract), and an ASan+UBSan
+# example trace through splicer_cli, plus streaming bursty/hotspot runs, an
+# eviction check (a materialised and a streaming run must each hold fewer
+# payment states at once than they have payments), and an ASan+UBSan
 # build of the smoke-label ctest subset so eviction-order bugs surface as
 # hard errors instead of flakes.
 #
 # A SPLICER_AUDIT=ON build then runs the smoke-label suites with the
-# scheduler heap-order witness compiled in — the runtime backstop for what
-# splicer_lint can only approximate statically.
+# scheduler heap-order witness and the engine's queue-accounting witness
+# compiled in — the runtime backstop for what splicer_lint can only
+# approximate statically.
 #
 # Hostile-world gates (fault injection / channel churn / policy mutators):
 #   * the robustness bench runs its fast sweep — it exits nonzero itself if
@@ -138,13 +140,18 @@ echo "CI: streaming bursty + hotspot smokes"
 "$BUILD_DIR/splicer_cli" compare --nodes 60 --payments 300 \
   --workload hotspot --trials 2 > "$SMOKE_DIR/hotspot.txt"
 
-echo "CI: retention-contract smoke (streaming + --no-retain evicts states)"
+echo "CI: eviction smoke (materialised and streaming runs both evict states)"
 "$BUILD_DIR/splicer_cli" compare --nodes 60 --payments 300 \
-  --streaming --no-retain > "$SMOKE_DIR/no_retain.txt"
-# The evicted column (last) of the Splicer row must be nonzero — matching
-# the header alone would pass even if eviction silently became a no-op.
-awk '$1 == "Splicer" { found = ($NF + 0) > 0 } END { exit !found }' \
-  "$SMOKE_DIR/no_retain.txt"
+  > "$SMOKE_DIR/evict_materialised.txt"
+"$BUILD_DIR/splicer_cli" compare --nodes 60 --payments 300 --streaming \
+  > "$SMOKE_DIR/evict_streaming.txt"
+# The resident column (last) of all six scheme rows must stay below the
+# 300 payments: a run that kept resolved states would reach 300.
+for run in evict_materialised evict_streaming; do
+  awk '$1 ~ /^(Splicer|Spider|Flash|Landmark|A2L|ShortestPath)$/ {
+         rows++; if ($NF + 0 >= 300) bad = 1 }
+       END { exit !(rows == 6 && !bad) }' "$SMOKE_DIR/$run.txt"
+done
 
 echo "CI: hostile-world robustness bench (wedge-free fault/churn/policy sweep)"
 SPLICER_BENCH_FAST=1 "$BUILD_DIR/bench_fig_robustness" \

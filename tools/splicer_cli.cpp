@@ -4,7 +4,7 @@
 //                        [--fund-scale X] [--value-scale X] [--scale-free]
 //                        [--threads N] [--trials K] [--settlement-epoch MS]
 //                        [--workload synthetic|trace|bursty|hotspot]
-//                        [--trace-file CSV] [--streaming] [--no-retain]
+//                        [--trace-file CSV] [--streaming]
 //                        [--burst-period S] [--burst-amplitude A]
 //                        [--shift-interval S]
 //                        [--fault-rate R] [--churn-rate R] [--fee-policy R]
@@ -16,10 +16,9 @@
 //       settlements per (channel, direction) per epoch (0 = exact per-hop).
 //       --workload picks the traffic source (trace replays a
 //       time,sender,receiver,amount CSV); --streaming makes every engine
-//       run pull payments lazily instead of materialising the workload
-//       AND evicts resolved payment states (the retention contract: a
-//       streaming run holds O(concurrency) states, see the "resident"
-//       column); --no-retain forces eviction for materialised runs too.
+//       run pull payments lazily instead of materialising the workload.
+//       Every run evicts resolved payment states, so the "resident" column
+//       stays at the concurrency level.
 //       The hostile-world knobs (all default off; see README "Hostile-world
 //       scenarios") inject Poisson faults/churn/policy rewrites:
 //       --fault-rate/--churn-rate/--fee-policy are events per second and
@@ -216,11 +215,6 @@ int cmd_compare(Args& args) {
   scheme_config.protocol.tau_s = args.real("tau", 200.0) / 1000.0;
   scheme_config.engine.settlement_epoch_s =
       args.real("settlement-epoch", 0.0) / 1000.0;
-  // Retention contract: streaming runs evict resolved payment states (the
-  // unbounded-run memory model); --no-retain forces eviction for
-  // materialised runs too. Metrics are identical either way.
-  scheme_config.engine.retain_resolved =
-      !args.flag("no-retain") && !config.workload.streaming;
   // Hostile-world scenario pack: Poisson fault/churn/policy mutation
   // streams. All default off, in which case the run is byte-identical to
   // a benign one (no mutators are built at all).
@@ -299,7 +293,7 @@ int cmd_compare(Args& args) {
   if (trials == 1) {
     common::Table table({"scheme", "TSR", "throughput", "avg delay (ms)",
                          "TUs sent", "TUs marked", "messages", "peak buf",
-                         "resident", "evicted"});
+                         "resident"});
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       const auto& m = results[t].first();
       const auto row = table.add_row();
@@ -312,7 +306,6 @@ int cmd_compare(Args& args) {
       table.set(row, 6, static_cast<std::int64_t>(m.messages.total()));
       table.set(row, 7, static_cast<std::int64_t>(m.peak_payment_buffer));
       table.set(row, 8, static_cast<std::int64_t>(m.peak_resident_states));
-      table.set(row, 9, static_cast<std::int64_t>(m.states_evicted));
     }
     std::cout << table.render();
     return 0;

@@ -423,12 +423,12 @@ void check_slab_alias(std::string_view path,
                       std::vector<Finding>& out) {
   // Bindings whose RHS reaches into the Engine's DenseIdMap slabs.
   static const std::regex kSlabSource(
-      R"(\b(?:find_payment_state|payment_state|state_or_orphan)\s*\()");
+      R"(\b(?:find_payment_state|state_or_orphan)\s*\()");
   // `& name = rhs` / `* name = rhs` declarations (references or pointers).
   static const std::regex kRefBind(R"([&*]\s*([A-Za-z_]\w*)\s*=\s*([^;]*))");
   // Plain re-assignment of an existing pointer variable: `name = ...slab...`.
   static const std::regex kAssign(
-      R"(\b([A-Za-z_]\w*)\s*=\s*[^;=]*\b(?:find_payment_state|payment_state|state_or_orphan)\s*\()");
+      R"(\b([A-Za-z_]\w*)\s*=\s*[^;=]*\b(?:find_payment_state|state_or_orphan)\s*\()");
   // Relocation points: calls (not declarations/definitions) that can grow,
   // relocate or evict slab slots.
   static const std::regex kReloc(R"((^|[^:\w])(send_tu|fail_payment)\s*\()");

@@ -36,7 +36,7 @@
 //                    common::SmallFunction, or annotate the documented
 //                    fallback variants.
 //   slab-alias       a reference/pointer bound to Engine slab state
-//                    (find_payment_state / payment_state / state_or_orphan)
+//                    (find_payment_state / state_or_orphan)
 //                    must not be used after a slab relocation point
 //                    (send_tu / fail_payment) in the same scope, and
 //                    send_tu must never be dispatched from inside

@@ -198,7 +198,7 @@ void check_slab_alias_escape(const CallGraph& graph, const SourceMap& sources,
   }
 
   static const std::regex kSlabBind(
-      R"([&*]\s*([A-Za-z_]\w*)\s*=\s*[^;]*\b(?:find_payment_state|payment_state|state_or_orphan)\s*\()");
+      R"([&*]\s*([A-Za-z_]\w*)\s*=\s*[^;]*\b(?:find_payment_state|state_or_orphan)\s*\()");
   const EdgeMap edges = edge_map(graph);
 
   for (std::size_t fi = 0; fi < funcs.size(); ++fi) {
