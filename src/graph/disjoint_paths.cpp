@@ -22,18 +22,30 @@ std::vector<Path> edge_disjoint_shortest_paths(const Graph& g, NodeId src,
                                                NodeId dst, std::size_t k) {
   std::vector<Path> result;
   // Reused scratch: the k-path selectors run once per (src, dst) pair but
-  // thousands of pairs per experiment; the per-call edge-mask allocation
-  // was measurable on the pair-setup hot path.
+  // thousands of pairs per experiment. The mask is all-zero between calls:
+  // each call clears exactly the edges it disabled, also when a search
+  // throws, so a call costs its paths' edges rather than edge_count().
   static thread_local std::vector<char> disabled;
-  disabled.assign(g.edge_count(), 0);
-  for (std::size_t i = 0; i < k; ++i) {
-    DijkstraOptions options;
-    options.disabled_edges = &disabled;
-    auto p = shortest_path(g, src, dst, options);
-    if (!p || p->empty()) break;
-    for (const EdgeId e : p->edges) disabled[e] = 1;
-    result.push_back(std::move(*p));
+  if (disabled.size() < g.edge_count()) disabled.resize(g.edge_count(), 0);
+  const auto enable_found = [&] {
+    for (const Path& p : result) {
+      for (const EdgeId e : p.edges) disabled[e] = 0;
+    }
+  };
+  DijkstraOptions options;
+  options.disabled_edges = &disabled;
+  try {
+    for (std::size_t i = 0; i < k; ++i) {
+      auto p = shortest_path(g, src, dst, options);
+      if (!p || p->empty()) break;
+      for (const EdgeId e : p->edges) disabled[e] = 1;
+      result.push_back(std::move(*p));
+    }
+  } catch (...) {
+    enable_found();
+    throw;
   }
+  enable_found();
   return result;
 }
 

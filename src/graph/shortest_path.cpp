@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <span>
 #include <stdexcept>
 
 namespace splicer::graph {
@@ -24,6 +25,10 @@ struct CsrView {
   std::uint64_t last_used = 0;
   std::vector<std::uint32_t> offsets;  // node -> first half index
   std::vector<HalfEdge> halves;
+
+  [[nodiscard]] std::span<const HalfEdge> out(NodeId n) const {
+    return {halves.data() + offsets[n], halves.data() + offsets[n + 1]};
+  }
 };
 
 const CsrView& csr_for(const Graph& g) {
@@ -57,9 +62,12 @@ const CsrView& csr_for(const Graph& g) {
 /// k-path selectors call dijkstra thousands of times per run, and the
 /// per-edge null checks dominated the inner loop. Pop order is the strict
 /// total order on (dist, node), so every specialisation (and the old
-/// std::priority_queue) yields bit-identical results.
+/// std::priority_queue) yields bit-identical results. The search stops once
+/// `goal` is settled (popped with its final distance): a settled node's
+/// parent chain is final, so the extracted src->goal path is identical to a
+/// full run's. kInvalidNode runs the full single-source search.
 template <bool kWeights, bool kDisabledEdges, bool kDisabledNodes>
-void dijkstra_loop(const Graph& g, const DijkstraOptions& options,
+void dijkstra_loop(const Graph& g, const DijkstraOptions& options, NodeId goal,
                    std::vector<HeapItem>& heap, DijkstraResult& result) {
   const CsrView& csr = csr_for(g);
   const std::greater<HeapItem> later;
@@ -68,11 +76,8 @@ void dijkstra_loop(const Graph& g, const DijkstraOptions& options,
     std::pop_heap(heap.begin(), heap.end(), later);
     heap.pop_back();
     if (d > result.dist[u]) continue;  // stale entry
-    if (u == options.stop_at) break;   // settled: its parent chain is final
-    const std::uint32_t begin = csr.offsets[u];
-    const std::uint32_t end = csr.offsets[u + 1];
-    for (std::uint32_t h = begin; h < end; ++h) {
-      const HalfEdge half = csr.halves[h];
+    if (u == goal) break;              // settled: its parent chain is final
+    for (const HalfEdge half : csr.out(u)) {
       if constexpr (kDisabledEdges) {
         if ((*options.disabled_edges)[half.edge]) continue;
       }
@@ -114,90 +119,14 @@ std::vector<int> bfs_hops(const Graph& g, NodeId src) {
 }
 
 namespace {
-/// Uniform-weight fast path. When every edge carries the same positive
-/// weight w, the heap's strict (dist, node) pop order is exactly
-/// "level by level, ascending node id within a level": all level-k entries
-/// pop before any level-(k+1) entry (k*w accumulates strictly), and a node
-/// is only ever pushed once (relaxations strictly improve). Processing a
-/// sorted level therefore performs the identical relaxation sequence —
-/// same parents, same accumulated dist doubles, same early-exit cut — with
-/// no heap traffic at all. The PCN topologies are hop-weighted, so this is
-/// the common case for the k-path selectors.
-///
-/// Goal-directed cut: under uniform weights a node's (dist, parent,
-/// parent_edge) are final the moment they are first assigned — every later
-/// relaxation of the node offers the same level distance and fails the
-/// strict `<`. So when `stop_at` is set the search can return at the
-/// assignment itself, not when the node's level is processed: the parent
-/// chain extract_path walks is already exactly the one the full run (and
-/// the heap loop) would produce.
-template <bool kDisabledEdges, bool kDisabledNodes>
-void uniform_level_loop(const Graph& g, const DijkstraOptions& options,
-                        double weight, NodeId src, DijkstraResult& result) {
-  const CsrView& csr = csr_for(g);
-  static thread_local std::vector<NodeId> level;
-  static thread_local std::vector<NodeId> next;
-  level.clear();
-  next.clear();
-  level.push_back(src);
-  while (!level.empty()) {
-    std::sort(level.begin(), level.end());  // the heap's within-level order
-    for (const NodeId u : level) {
-      if (u == options.stop_at) return;  // settled: parent chain is final
-      const double d = result.dist[u];
-      const std::uint32_t begin = csr.offsets[u];
-      const std::uint32_t end = csr.offsets[u + 1];
-      for (std::uint32_t h = begin; h < end; ++h) {
-        const HalfEdge half = csr.halves[h];
-        if constexpr (kDisabledEdges) {
-          if ((*options.disabled_edges)[half.edge]) continue;
-        }
-        if constexpr (kDisabledNodes) {
-          if ((*options.disabled_nodes)[half.to]) continue;
-        }
-        const double nd = d + weight;
-        if (nd < result.dist[half.to]) {
-          result.dist[half.to] = nd;
-          result.parent[half.to] = u;
-          result.parent_edge[half.to] = half.edge;
-          if (half.to == options.stop_at) return;  // assignment is final
-          next.push_back(half.to);
-        }
-      }
-    }
-    level.swap(next);
-    next.clear();
-  }
-}
-
-/// Shared implementation: fills `result` in place so callers with a scratch
-/// result (shortest_path, called thousands of times per experiment for
-/// k-path setup) reuse its capacity instead of allocating three vectors
-/// per call.
-void dijkstra_into(const Graph& g, NodeId src, const DijkstraOptions& options,
-                   DijkstraResult& result) {
+/// Fills `result` in place so shortest_path's thread-local scratch reuses
+/// its capacity instead of allocating three vectors per call.
+void dijkstra_into(const Graph& g, NodeId src, NodeId goal,
+                   const DijkstraOptions& options, DijkstraResult& result) {
   result.dist.assign(g.node_count(), kInf);
   result.parent.assign(g.node_count(), kInvalidNode);
   result.parent_edge.assign(g.node_count(), kInvalidEdge);
   result.dist.at(src) = 0.0;
-
-  if (options.weights == nullptr) {
-    // Maintained incrementally by the Graph — no per-query edge scan.
-    const double w0 = g.uniform_positive_weight();
-    if (w0 > 0) {
-      if (options.disabled_edges == nullptr &&
-          options.disabled_nodes == nullptr) {
-        uniform_level_loop<false, false>(g, options, w0, src, result);
-      } else if (options.disabled_nodes == nullptr) {
-        uniform_level_loop<true, false>(g, options, w0, src, result);
-      } else if (options.disabled_edges == nullptr) {
-        uniform_level_loop<false, true>(g, options, w0, src, result);
-      } else {
-        uniform_level_loop<true, true>(g, options, w0, src, result);
-      }
-      return;
-    }
-  }
 
   // Reused scratch heap: thread-local, so parallel experiment runs stay
   // independent.
@@ -209,21 +138,165 @@ void dijkstra_into(const Graph& g, NodeId src, const DijkstraOptions& options,
                       (options.disabled_edges ? 2 : 0) |
                       (options.disabled_nodes ? 1 : 0);
   switch (variant) {
-    case 0: dijkstra_loop<false, false, false>(g, options, heap, result); break;
-    case 1: dijkstra_loop<false, false, true>(g, options, heap, result); break;
-    case 2: dijkstra_loop<false, true, false>(g, options, heap, result); break;
-    case 3: dijkstra_loop<false, true, true>(g, options, heap, result); break;
-    case 4: dijkstra_loop<true, false, false>(g, options, heap, result); break;
-    case 5: dijkstra_loop<true, false, true>(g, options, heap, result); break;
-    case 6: dijkstra_loop<true, true, false>(g, options, heap, result); break;
-    default: dijkstra_loop<true, true, true>(g, options, heap, result); break;
+    case 0: dijkstra_loop<false, false, false>(g, options, goal, heap, result); break;
+    case 1: dijkstra_loop<false, false, true>(g, options, goal, heap, result); break;
+    case 2: dijkstra_loop<false, true, false>(g, options, goal, heap, result); break;
+    case 3: dijkstra_loop<false, true, true>(g, options, goal, heap, result); break;
+    case 4: dijkstra_loop<true, false, false>(g, options, goal, heap, result); break;
+    case 5: dijkstra_loop<true, false, true>(g, options, goal, heap, result); break;
+    case 6: dijkstra_loop<true, true, false>(g, options, goal, heap, result); break;
+    default: dijkstra_loop<true, true, true>(g, options, goal, heap, result); break;
   }
+}
+
+/// Hop labels of the bidirectional search, side 0 = forward from src,
+/// side 1 = backward from dst. A label is live only while its stamp equals
+/// the query's, so a query starts by bumping one counter instead of
+/// clearing O(n) entries.
+struct HopLabel {
+  std::uint32_t stamp[2] = {0, 0};
+  std::uint32_t hops[2] = {0, 0};
+};
+
+struct BidirectionalScratch {
+  std::vector<HopLabel> labels;
+  std::uint32_t stamp = 0;
+  std::vector<NodeId> frontier[2];
+  std::vector<NodeId> next;
+  std::vector<NodeId> meet;
+};
+
+/// The calling thread's scratch, with a fresh stamp and a label for every
+/// one of `node_count` nodes. Labels are zeroed only when the array grows
+/// or the stamp wraps (old stamps would then read as live).
+BidirectionalScratch& fresh_scratch(std::size_t node_count) {
+  static thread_local BidirectionalScratch s;
+  if (s.labels.size() < node_count) s.labels.resize(node_count);
+  if (++s.stamp == 0) {
+    std::fill(s.labels.begin(), s.labels.end(), HopLabel{});
+    s.stamp = 1;
+  }
+  return s;
+}
+
+/// Uniform-weight shortest path by bidirectional BFS, returning exactly the
+/// Path the heap loop returns. When every edge weighs the same w > 0, the
+/// heap pops level by level in ascending node id, and a node's parent is
+/// the first relaxation that reaches it: its smallest-id neighbour one
+/// level closer to src, through that neighbour's first unmasked edge to it
+/// in CSR order. Every such neighbour of a node on a shortest src–dst path
+/// lies on one too, so only the shortest-path DAG is needed:
+///  1. grow the smaller frontier one full level at a time until the balls
+///     meet; then d = forward radius + backward radius, and the meeting
+///     nodes are the DAG's layer at the forward radius;
+///  2. extend the forward labels through the DAG: layer j+1 is the
+///     neighbours of layer j whose backward label is d-j-1;
+///  3. walk back from dst, picking at each step the smallest-id neighbour
+///     whose forward label is one less.
+/// Ties go to the forward side, so src's level is grown first and the balls
+/// meet before the backward search can reach src. A masked src therefore
+/// still starts the path, as in the heap loop, without an exception here.
+template <bool kDisabledEdges, bool kDisabledNodes>
+std::optional<Path> bidirectional_bfs(const Graph& g, NodeId src, NodeId dst,
+                                      const DijkstraOptions& options,
+                                      double weight) {
+  const auto edge_off = [&](EdgeId e) {
+    if constexpr (kDisabledEdges) return (*options.disabled_edges)[e] != 0;
+    return false;
+  };
+  const auto node_off = [&](NodeId n) {
+    if constexpr (kDisabledNodes) return (*options.disabled_nodes)[n] != 0;
+    return false;
+  };
+  if (node_off(dst)) return std::nullopt;
+
+  const CsrView& csr = csr_for(g);
+  BidirectionalScratch& s = fresh_scratch(g.node_count());
+  const std::uint32_t stamp = s.stamp;
+  std::vector<HopLabel>& labels = s.labels;
+  const auto label = [&](NodeId n, int side, std::uint32_t hops) {
+    labels[n].stamp[side] = stamp;
+    labels[n].hops[side] = hops;
+  };
+  const auto has_label = [&](NodeId n, int side, std::uint32_t hops) {
+    return labels[n].stamp[side] == stamp && labels[n].hops[side] == hops;
+  };
+
+  // 1. Meet in the middle. While the balls are disjoint, d exceeds the sum
+  // of their radii, so the first level that meets fixes d at that sum.
+  label(src, 0, 0);
+  label(dst, 1, 0);
+  s.frontier[0].assign(1, src);
+  s.frontier[1].assign(1, dst);
+  std::uint32_t radius[2] = {0, 0};
+  s.meet.clear();
+  while (s.meet.empty()) {
+    if (s.frontier[0].empty() || s.frontier[1].empty()) return std::nullopt;
+    const int side = s.frontier[0].size() <= s.frontier[1].size() ? 0 : 1;
+    const std::uint32_t hops = ++radius[side];
+    s.next.clear();
+    for (const NodeId u : s.frontier[side]) {
+      for (const HalfEdge half : csr.out(u)) {
+        if (edge_off(half.edge)) continue;
+        const HopLabel& seen = labels[half.to];
+        if (seen.stamp[side] == stamp) continue;
+        if (node_off(half.to)) continue;
+        label(half.to, side, hops);
+        if (seen.stamp[1 - side] == stamp) s.meet.push_back(half.to);
+        s.next.push_back(half.to);
+      }
+    }
+    s.frontier[side].swap(s.next);
+  }
+  const std::uint32_t d = radius[0] + radius[1];
+
+  // 2. Forward labels for the DAG layers beyond the forward radius. No node
+  // there has a forward label yet: it would close a path shorter than d.
+  std::vector<NodeId>& layer = s.meet;
+  for (std::uint32_t j = radius[0]; j + 1 < d; ++j) {
+    s.next.clear();
+    for (const NodeId u : layer) {
+      for (const HalfEdge half : csr.out(u)) {
+        if (edge_off(half.edge)) continue;
+        if (!has_label(half.to, 1, d - j - 1)) continue;
+        if (labels[half.to].stamp[0] == stamp) continue;
+        label(half.to, 0, j + 1);
+        s.next.push_back(half.to);
+      }
+    }
+    layer.swap(s.next);
+  }
+
+  // 3. Walk back from dst. Adjacency lists are in edge-id order, so v's
+  // first unmasked edge to u is also u's first unmasked edge to v.
+  Path path;
+  path.nodes.resize(d + 1);
+  path.edges.resize(d);
+  path.nodes[d] = dst;
+  for (std::uint32_t j = d; j-- > 0;) {
+    const NodeId v = path.nodes[j + 1];
+    NodeId parent = kInvalidNode;
+    EdgeId parent_edge = kInvalidEdge;
+    for (const HalfEdge half : csr.out(v)) {
+      if (half.to < parent && !edge_off(half.edge) && has_label(half.to, 0, j)) {
+        parent = half.to;
+        parent_edge = half.edge;
+      }
+    }
+    path.nodes[j] = parent;
+    path.edges[j] = parent_edge;
+  }
+  // Accumulated from src as the heap accumulates dist, so the double is
+  // the same; a length that overflows to +inf is unreachable there too.
+  for (std::uint32_t i = 0; i < d; ++i) path.length += weight;
+  if (path.length == kInf) return std::nullopt;
+  return path;
 }
 }  // namespace
 
 DijkstraResult dijkstra(const Graph& g, NodeId src, const DijkstraOptions& options) {
   DijkstraResult result;
-  dijkstra_into(g, src, options, result);
+  dijkstra_into(g, src, kInvalidNode, options, result);
   return result;
 }
 
@@ -255,19 +328,33 @@ std::optional<Path> extract_path(const Graph& g, const DijkstraResult& result,
 
 std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
                                   const DijkstraOptions& options) {
+  if (src >= g.node_count() || dst >= g.node_count()) {
+    throw std::out_of_range("shortest_path: node out of range");
+  }
   if (src == dst) {
     Path trivial;
     trivial.nodes.push_back(src);
     return trivial;
   }
-  // Goal-directed: stop the search the moment dst settles. The extracted
-  // path is identical to a full single-source run (see stop_at's contract);
-  // on the k-path hot paths this cuts most of each Dijkstra. The scratch
-  // result recycles its vectors across the thousands of per-pair calls.
-  DijkstraOptions goal_options = options;
-  goal_options.stop_at = dst;
+  // Maintained incrementally by the Graph — no per-query edge scan. Every
+  // PCN topology is hop-weighted, so this is the k-path selectors' case.
+  const double w0 = options.weights == nullptr ? g.uniform_positive_weight() : 0.0;
+  if (w0 > 0) {
+    if (options.disabled_edges == nullptr && options.disabled_nodes == nullptr) {
+      return bidirectional_bfs<false, false>(g, src, dst, options, w0);
+    }
+    if (options.disabled_nodes == nullptr) {
+      return bidirectional_bfs<true, false>(g, src, dst, options, w0);
+    }
+    if (options.disabled_edges == nullptr) {
+      return bidirectional_bfs<false, true>(g, src, dst, options, w0);
+    }
+    return bidirectional_bfs<true, true>(g, src, dst, options, w0);
+  }
+  // The heap loop, stopped once dst settles; the scratch result recycles
+  // its vectors across calls.
   static thread_local DijkstraResult scratch;
-  dijkstra_into(g, src, goal_options, scratch);
+  dijkstra_into(g, src, dst, options, scratch);
   return extract_path(g, scratch, src, dst);
 }
 

@@ -24,12 +24,6 @@ struct DijkstraOptions {
   /// If non-null, nodes with (*disabled_nodes)[n] cannot be traversed
   /// (source is always allowed to start).
   const std::vector<char>* disabled_nodes = nullptr;
-  /// If set, the search stops once this node is settled (popped with its
-  /// final distance). A settled node's parent chain is final, so the
-  /// extracted src->stop_at path is bit-identical to a full run — only
-  /// dist/parent entries of nodes farther than stop_at are left unset.
-  /// shortest_path() sets this; single-source callers leave it invalid.
-  NodeId stop_at = kInvalidNode;
 };
 
 struct DijkstraResult {
@@ -48,7 +42,11 @@ struct DijkstraResult {
                                                const DijkstraResult& result,
                                                NodeId src, NodeId dst);
 
-/// One-shot shortest path.
+/// One-shot shortest path: the path dijkstra()'s (dist, node) pop order
+/// defines, nullopt if unreachable. With no `weights` override on a graph
+/// whose edges share one positive weight (every PCN topology), it is found
+/// by a bidirectional BFS; otherwise by the heap loop, stopped once `dst`
+/// settles. Throws std::out_of_range if `src` or `dst` is not a node.
 [[nodiscard]] std::optional<Path> shortest_path(const Graph& g, NodeId src,
                                                 NodeId dst,
                                                 const DijkstraOptions& options = {});

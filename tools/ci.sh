@@ -20,6 +20,10 @@
 #      (parallel runner AND the epoch-0 engine path change nothing)
 #   3. epoch 10 ms            -> batched mode completes with the engine's
 #      funds-conservation check intact
+# The fig8 bench then runs its smoke configuration once, --threads 1, and
+# must reproduce tests/data/fig8_baseline byte for byte: at 3000 nodes every
+# path cache misses, so this pins the paths the shortest-path search returns
+# to Spider, Flash and the ShortestPath baseline.
 #
 # The engine hot-path microbench then runs in fast mode and its
 # BENCH_engine_hotpath.json is archived in the build dir, so every CI run
@@ -122,6 +126,12 @@ diff -r "$SMOKE_DIR/baseline" "$SMOKE_DIR/epoch0"
 echo "CI: fig7 smoke, batched settlement (epoch 10 ms)"
 SPLICER_BENCH_FAST=1 \
   "$BUILD_DIR/bench_fig7_small_scale" --settlement-epoch 10 > "$SMOKE_DIR/epoch10.txt"
+
+echo "CI: fig8 smoke vs frozen baseline (large-scale path selection)"
+mkdir -p "$SMOKE_DIR/fig8"
+SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/fig8" \
+  "$BUILD_DIR/bench_fig8_large_scale" --threads 1 > "$SMOKE_DIR/fig8.txt"
+diff -r tests/data/fig8_baseline "$SMOKE_DIR/fig8"
 
 echo "CI: engine hot-path microbench (archives BENCH_engine_hotpath.json)"
 "$BUILD_DIR/bench_engine_hotpath" --fast --repeat 2 \
