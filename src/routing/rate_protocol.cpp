@@ -70,8 +70,8 @@ void RateRouterBase::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) 
     admit_demand(engine, state->payment);
     return;
   }
-  const PairKey pair = unpack_pair(a);
-  pair_state(pair).paths[b].drip_scheduled = false;
+  const auto pair = static_cast<std::uint32_t>(a);
+  pacing_[path_id(pair, b)].drip_scheduled = false;
   try_send(engine, pair, b);
 }
 
@@ -80,60 +80,57 @@ void RateRouterBase::admit_demand(Engine& engine, const pcn::Payment& payment) {
   // resolved state may already be evicted.
   const auto* state = engine.find_payment_state(payment.id);
   if (state == nullptr || !state->active()) return;  // already timed out
-  const PairKey pair = pair_of(engine, payment);
-  PairState* ps = ensure_pair(engine, pair);
-  if (ps == nullptr || ps->paths.empty()) {
+  const std::uint32_t pair = ensure_pair(engine, pair_of(engine, payment));
+  if (pair == kNoPair) {
     engine.fail_payment(payment.id, FailReason::kNoPath);
     return;
   }
   pair_of_payment_[payment.id] = pair;
-  ps->demands.push_back(DemandEntry{payment.id, payment.value});
-  for (std::size_t i = 0; i < ps->paths.size(); ++i) {
+  pairs_[pair].demands.push_back(DemandEntry{payment.id, payment.value});
+  for (std::size_t i = 0; i < pairs_[pair].path_count; ++i) {
     schedule_drip(engine, pair, i);
   }
 }
 
-RateRouterBase::PairState* RateRouterBase::ensure_pair(Engine& engine,
-                                                       const PairKey& pair) {
-  const auto it = pairs_.find(pair);
-  if (it != pairs_.end()) return &it->second;
+std::uint32_t RateRouterBase::ensure_pair(Engine& engine, const PairKey& pair) {
+  const auto it = pair_index_.find(pack_pair(pair));
+  if (it != pair_index_.end()) return it->second;
 
-  PairState state;
   // SPLICER_LINT_ALLOW(hotpath-alloc): first-touch pair construction — runs
   // once per (src, dst) pair on its first demand, never per TU or per tick.
   const std::vector<graph::Path> pair_paths = compute_pair_paths(engine, pair);
-  // SPLICER_LINT_ALLOW(hotpath-alloc): same first-touch path — sizes the
-  // pair's path list once for the pair's lifetime.
-  state.paths.reserve(pair_paths.size());
+  const auto first_path = static_cast<std::uint32_t>(rate_tps_.size());
   for (const auto& p : pair_paths) {
     auto full = assemble_path(engine, pair.from, pair.to, p);
     if (!full || full->edges.empty()) continue;
-    PathState path_state;
     // One pass per hop fetches the channel record once for both the
     // capacity constraint (eq. 18: the sustained rate on a channel cannot
     // exceed c_ab / Delta; start at most there) and the directed hop index.
     double bottleneck = std::numeric_limits<double>::infinity();
-    // SPLICER_LINT_ALLOW(hotpath-alloc): first-touch pair construction —
-    // the hop index is built once per path when the pair is created.
-    path_state.hop_index.reserve(full->edges.size());
     for (std::size_t i = 0; i < full->edges.size(); ++i) {
       const ChannelId e = full->edges[i];
       const auto& ch = engine.network().channel(e);
       bottleneck = std::min(bottleneck, common::to_tokens(ch.capacity()));
       const auto d = ch.direction_from(full->nodes[i]);
-      path_state.hop_index.push_back(
-          static_cast<std::uint32_t>(2 * e + pcn::dir_index(d)));
+      hops_.push_back(static_cast<std::uint32_t>(2 * e + pcn::dir_index(d)));
     }
+    hop_begin_.push_back(static_cast<std::uint32_t>(hops_.size()));
     const double capacity_rate = bottleneck / std::max(config_.delta_rtt_s, 1e-6);
-    path_state.full_path = std::move(*full);
-    path_state.rate_tps = std::min(config_.initial_rate_tps, capacity_rate);
-    path_state.window = config_.initial_window;
-    state.paths.push_back(std::move(path_state));
+    rate_tps_.push_back(std::min(config_.initial_rate_tps, capacity_rate));
+    outstanding_.push_back(0);
+    pacing_.push_back(PathPacing{.window = config_.initial_window});
+    full_paths_.push_back(std::move(*full));
   }
-  if (state.paths.empty()) return nullptr;
-  PairState* stored = &pairs_.emplace(pair, std::move(state)).first->second;
-  pair_index_.emplace(pack_pair(pair), stored);
-  return stored;
+  const auto path_count = static_cast<std::uint32_t>(rate_tps_.size()) - first_path;
+  if (path_count == 0) return kNoPair;
+  const auto index = static_cast<std::uint32_t>(pairs_.size());
+  pairs_.push_back(PairState{pair, first_path, path_count, {}});
+  const auto at = std::lower_bound(
+      sweep_order_.begin(), sweep_order_.end(), pair,
+      [this](std::uint32_t i, const PairKey& key) { return pairs_[i].key < key; });
+  sweep_order_.insert(at, index);
+  pair_index_.emplace(pack_pair(pair), index);
+  return index;
 }
 
 // SPLICER_LINT_ALLOW(hotpath-alloc): first-touch pair construction — path
@@ -196,29 +193,47 @@ double RateRouterBase::fee_rate(ChannelId channel, pcn::Direction d) const {
   return fee_from_price(channel_price(channel, d));
 }
 
-double RateRouterBase::path_price(const PathState& path) const {
+double RateRouterBase::path_price(std::uint32_t path) const {
   double price = 0.0;
-  for (const std::uint32_t idx : path.hop_index) price += price_flat_[idx];
+  for (std::uint32_t h = hop_begin_[path]; h < hop_begin_[path + 1]; ++h) {
+    price += price_flat_[hops_[h]];
+  }
   return price * (1.0 + config_.t_fee);
 }
 
 void RateRouterBase::probe_pairs(Engine& engine) {
-  // pairs_ is ordered, so the drip events this sweep schedules come out in
-  // the sorted pair order the frozen event stream was recorded with.
-  for (auto& [pair, state] : pairs_) {
+  // Pass 1, rates: a pair's update reads only its own paths and this
+  // tick's price array, so pairs go in storage order — a linear scan of
+  // the flat per-path arrays.
+  std::uint64_t probes = 0;
+  for (const PairState& pair : pairs_) {
+    const std::uint32_t begin = pair.first_path;
+    const std::uint32_t end = begin + pair.path_count;
     // Probe messages are only sent on paths that carry or await traffic,
     // but the rate state always integrates the latest prices.
-    bool active = !state.demands.empty();
-    for (const auto& path : state.paths) active = active || path.outstanding > 0;
-    const double total_rate = std::max(total_pair_rate(state), 1e-9);
-    for (std::size_t i = 0; i < state.paths.size(); ++i) {
-      auto& path = state.paths[i];
-      if (active) engine.counters().probe_messages += path.full_path.edges.size();
+    bool active = !pair.demands.empty();
+    double total_rate = 0.0;
+    for (std::uint32_t p = begin; p < end; ++p) {
+      active = active || outstanding_[p] > 0;
+      total_rate += rate_tps_[p];
+    }
+    if (active) probes += hop_begin_[end] - hop_begin_[begin];
+    const double marginal_utility = 1.0 / std::max(total_rate, 1e-9);
+    for (std::uint32_t p = begin; p < end; ++p) {
       // Eq. (26): r_p += alpha (U'(r) - rho_p) with U = log.
-      const double gradient = 1.0 / total_rate - path_price(path);
-      path.rate_tps = std::clamp(path.rate_tps + config_.alpha * gradient,
-                                 config_.min_rate_tps, config_.max_rate_tps);
-      if (!state.demands.empty()) schedule_drip(engine, pair, i);
+      const double gradient = marginal_utility - path_price(p);
+      rate_tps_[p] = std::clamp(rate_tps_[p] + config_.alpha * gradient,
+                                config_.min_rate_tps, config_.max_rate_tps);
+    }
+  }
+  engine.counters().probe_messages += probes;
+  // Pass 2, drips: schedule_drip(i) reads only path i, which pass 1 has
+  // finished writing, and sweep_order_ is the sorted pair order the frozen
+  // event stream was recorded with.
+  for (const std::uint32_t pair : sweep_order_) {
+    if (pairs_[pair].demands.empty()) continue;
+    for (std::size_t i = 0; i < pairs_[pair].path_count; ++i) {
+      schedule_drip(engine, pair, i);
     }
   }
 }
@@ -226,38 +241,36 @@ void RateRouterBase::probe_pairs(Engine& engine) {
 std::vector<RateRouterBase::PathDiagnostics> RateRouterBase::pair_diagnostics(
     NodeId from, NodeId to) const {
   std::vector<PathDiagnostics> out;
-  const auto it = pairs_.find(PairKey{from, to});
-  if (it == pairs_.end()) return out;
-  for (const auto& path : it->second.paths) {
-    out.push_back(PathDiagnostics{path.rate_tps, path.window, path_price(path),
-                                  path.outstanding, path.full_path.edges.size()});
+  const auto it = pair_index_.find(pack_pair(PairKey{from, to}));
+  if (it == pair_index_.end()) return out;
+  const PairState& pair = pairs_[it->second];
+  for (std::uint32_t p = pair.first_path; p < pair.first_path + pair.path_count;
+       ++p) {
+    out.push_back(PathDiagnostics{rate_tps_[p], pacing_[p].window, path_price(p),
+                                  outstanding_[p], hop_begin_[p + 1] - hop_begin_[p]});
   }
   return out;
 }
 
-double RateRouterBase::total_pair_rate(const PairState& pair) const {
-  double total = 0.0;
-  for (const auto& path : pair.paths) total += path.rate_tps;
-  return total;
-}
-
 const std::vector<Amount>& RateRouterBase::fee_schedule(
-    const pcn::Network& network, const PathState& path, Amount value) const {
+    const pcn::Network& network, std::uint32_t path, Amount value) const {
   // hop_amounts[i] = value + downstream fees; fees follow eq. (24) with the
   // current fee rates, charged on the forwarded amount, plus each hop
   // channel's hostile-world policy fee (base + proportional). The
-  // precomputed hop_index avoids re-deriving each hop's direction per TU;
+  // precomputed hop indices avoid re-deriving each hop's direction per TU;
   // the flat price array yields the same fee_rate doubles bit for bit, and
   // an all-default policy adds exact zero to both terms.
+  const std::uint32_t* hops = hops_.data() + hop_begin_[path];
+  const std::size_t hop_count = hop_begin_[path + 1] - hop_begin_[path];
   auto& amounts = fee_scratch_;
   // SPLICER_LINT_ALLOW(hotpath-alloc): per-router scratch — grows to the
   // longest path's hop count once, then every resize is within capacity.
-  amounts.resize(path.hop_index.size());
+  amounts.resize(hop_count);
   Amount carry = value;
-  for (std::size_t i = path.hop_index.size(); i-- > 0;) {
+  for (std::size_t i = hop_count; i-- > 0;) {
     amounts[i] = carry;
     if (i == 0) break;
-    const std::uint32_t idx = path.hop_index[i];
+    const std::uint32_t idx = hops[i];
     const pcn::ChannelPolicy& policy =
         network.channel(static_cast<ChannelId>(idx / 2)).policy();
     const double rate =
@@ -269,59 +282,58 @@ const std::vector<Amount>& RateRouterBase::fee_schedule(
   return amounts;
 }
 
-void RateRouterBase::schedule_drip(Engine& engine, const PairKey& pair,
+void RateRouterBase::schedule_drip(Engine& engine, std::uint32_t pair,
                                    std::size_t path_index) {
-  auto& state = pair_state(pair);
-  auto& path = state.paths[path_index];
-  if (path.drip_scheduled) return;
+  const std::uint32_t path = path_id(pair, path_index);
+  PathPacing& pacing = pacing_[path];
+  if (pacing.drip_scheduled) return;
   if (engine.past_horizon()) return;
-  path.drip_scheduled = true;
-  const double delay =
-      std::max(0.0, path.earliest_send(config_.min_rate_tps) - engine.now());
+  pacing.drip_scheduled = true;
+  const double delay = std::max(0.0, earliest_send(path) - engine.now());
   // Typed drip timer (one per TU send on the hot path): POD fields in the
   // scheduler pool instead of a heap-allocated closure per drip.
-  engine.schedule_timer(delay, pack_pair(pair), path_index);
+  engine.schedule_timer(delay, pair, path_index);
 }
 
-void RateRouterBase::try_send(Engine& engine, const PairKey& pair,
+void RateRouterBase::try_send(Engine& engine, std::uint32_t pair,
                               std::size_t path_index) {
-  auto& state = pair_state(pair);
-  auto& path = state.paths[path_index];
+  const std::uint32_t path = path_id(pair, path_index);
   if (engine.past_horizon()) return;
-  if (engine.now() + 1e-12 < path.earliest_send(config_.min_rate_tps)) {
+  if (engine.now() + 1e-12 < earliest_send(path)) {
     schedule_drip(engine, pair, path_index);  // pacing not yet satisfied
     return;
   }
-  if (path.outstanding >= static_cast<std::size_t>(
-                              std::max(1.0, std::floor(path.window)))) {
+  if (outstanding_[path] >= static_cast<std::size_t>(
+                                std::max(1.0, std::floor(pacing_[path].window)))) {
     return;  // window-bound; re-armed on delivery/failure
   }
   // Pop exhausted/inactive demands. An evicted state (nullptr) counts as
   // inactive, exactly like a still-resident resolved state.
+  auto& demands = pairs_[pair].demands;
   const PaymentState* front_state = nullptr;
-  while (!state.demands.empty()) {
-    const auto& front = state.demands.front();
+  while (!demands.empty()) {
+    const auto& front = demands.front();
     front_state = engine.find_payment_state(front.payment);
     if (front.remaining <= 0 || front_state == nullptr ||
         !front_state->active()) {
-      state.demands.pop_front();
+      demands.pop_front();
       continue;
     }
     break;
   }
-  if (state.demands.empty()) return;
+  if (demands.empty()) return;
   // Hostile-world dispatch gate: the pair's path set is computed once, so a
   // mutation obstructing this path (closed channel, offline node, timelock
   // over budget) is discovered here, at send time, against current network
   // state — hold and retry like a funds-short admit; a reopened channel or
   // recovered node makes the path usable again with no path recompute.
-  if (path_obstruction(engine.network(), path.full_path,
+  if (path_obstruction(engine.network(), full_paths_[path],
                        engine.config().hostile.timelock_budget)) {
-    path.hold_until = std::max(path.hold_until, engine.now() + 0.05);
+    pacing_[path].hold_until = std::max(pacing_[path].hold_until, engine.now() + 0.05);
     schedule_drip(engine, pair, path_index);
     return;
   }
-  auto& entry = state.demands.front();
+  auto& entry = demands.front();
   const auto& payment_state = *front_state;
 
   // TU sizing: Min-TU <= |d_i| <= Max-TU, avoiding a sub-Min-TU crumb.
@@ -336,10 +348,10 @@ void RateRouterBase::try_send(Engine& engine, const PairKey& pair,
   tu_value = std::max<Amount>(tu_value, 1);
 
   const auto& hop_amounts = fee_schedule(engine.network(), path, tu_value);
-  if (!admit_tu(engine, path.full_path, hop_amounts)) {
+  if (!admit_tu(engine, full_paths_[path], hop_amounts)) {
     // Downstream funds are short (F_ab < |d_i|): hold at the source and
     // retry shortly instead of locking a doomed HTLC chain.
-    path.hold_until = std::max(path.hold_until, engine.now() + 0.05);
+    pacing_[path].hold_until = std::max(pacing_[path].hold_until, engine.now() + 0.05);
     schedule_drip(engine, pair, path_index);
     return;
   }
@@ -347,54 +359,57 @@ void RateRouterBase::try_send(Engine& engine, const PairKey& pair,
   TransactionUnit tu;
   tu.payment = entry.payment;
   tu.value = tu_value;
-  tu.path = path.full_path;
+  tu.path = full_paths_[path];
   tu.hop_amounts = hop_amounts;  // the TU owns its schedule; scratch is reused
   tu.deadline = payment_state.payment.deadline;
   tu.path_index = path_index;
   entry.remaining -= tu_value;
-  ++path.outstanding;
+  ++outstanding_[path];
   engine.send_tu(std::move(tu));
 
-  path.last_send = engine.now();
-  path.last_tu_tokens = common::to_tokens(tu_value);
+  PathPacing& pacing = pacing_[path];
+  pacing.last_send = engine.now();
+  pacing.last_tu_tokens = common::to_tokens(tu_value);
   schedule_drip(engine, pair, path_index);
 }
 
 void RateRouterBase::on_tu_delivered(Engine& engine, const TransactionUnit& tu) {
   const auto it = pair_of_payment_.find(tu.payment);
   if (it == pair_of_payment_.end()) return;
-  auto& state = pair_state(it->second);
-  auto& path = state.paths[tu.path_index];
-  if (path.outstanding > 0) --path.outstanding;
+  const std::uint32_t pair = it->second;
+  const std::uint32_t begin = pairs_[pair].first_path;
+  const std::uint32_t end = begin + pairs_[pair].path_count;
+  const std::uint32_t path = path_id(pair, tu.path_index);
+  if (outstanding_[path] > 0) --outstanding_[path];
   // Eq. (28): window grows by gamma / sum of the pair's windows.
   double window_sum = 0.0;
-  for (const auto& p : state.paths) window_sum += p.window;
-  path.window = std::clamp(path.window + config_.gamma / std::max(window_sum, 1e-9),
-                           config_.min_window, config_.max_window);
-  schedule_drip(engine, it->second, tu.path_index);
+  for (std::uint32_t p = begin; p < end; ++p) window_sum += pacing_[p].window;
+  pacing_[path].window =
+      std::clamp(pacing_[path].window + config_.gamma / std::max(window_sum, 1e-9),
+                 config_.min_window, config_.max_window);
+  schedule_drip(engine, pair, tu.path_index);
 }
 
 void RateRouterBase::on_tu_failed(Engine& engine, const TransactionUnit& tu,
                                   FailReason reason) {
   const auto it = pair_of_payment_.find(tu.payment);
   if (it == pair_of_payment_.end()) return;
-  const PairKey pair = it->second;
-  auto& state = pair_state(pair);
-  auto& path = state.paths[tu.path_index];
-  if (path.outstanding > 0) --path.outstanding;
+  const std::uint32_t pair = it->second;
+  const std::uint32_t path = path_id(pair, tu.path_index);
+  if (outstanding_[path] > 0) --outstanding_[path];
   if (reason == FailReason::kMarkedCongested ||
       reason == FailReason::kQueueOverflow) {
     // Eq. (27): the aborted TU shrinks the window by beta.
-    path.window = std::clamp(path.window - config_.beta, config_.min_window,
-                             config_.max_window);
+    pacing_[path].window = std::clamp(pacing_[path].window - config_.beta,
+                                      config_.min_window, config_.max_window);
   }
   // Unserved value is retried (front of the queue) while the deadline holds.
   const auto* payment_state = engine.find_payment_state(tu.payment);
   if (payment_state != nullptr && payment_state->active() &&
       engine.now() < payment_state->payment.deadline) {
-    state.demands.push_front(DemandEntry{tu.payment, tu.value});
+    pairs_[pair].demands.push_front(DemandEntry{tu.payment, tu.value});
   }
-  for (std::size_t i = 0; i < state.paths.size(); ++i) {
+  for (std::size_t i = 0; i < pairs_[pair].path_count; ++i) {
     schedule_drip(engine, pair, i);
   }
 }

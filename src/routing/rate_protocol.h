@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -176,16 +175,11 @@ class RateRouterBase : public Router {
     double mu[2] = {0.0, 0.0};
     double arrived_tokens[2] = {0.0, 0.0};  // m_a / m_b this window
   };
-  struct PathState {
-    graph::Path full_path;    // client -> ... -> client, ready to send on
-    /// Directed-channel index (2*channel + direction) of every path edge,
-    /// precomputed once at path creation: probes and fee schedules read the
-    /// flat per-tick price array instead of re-deriving the direction and
-    /// chasing the channel record on every visit.
-    std::vector<std::uint32_t> hop_index;
-    double rate_tps = 0.0;
+  /// Window and pacing state of one path: what try_send and the window
+  /// updates read, kept apart from the rate and hop arrays the tau sweep
+  /// scans.
+  struct PathPacing {
     double window = 0.0;
-    std::size_t outstanding = 0;
     // Pacing state: the earliest next send is last_send +
     // last_tu_tokens / *current* rate, re-evaluated at drip time so a
     // recovered rate takes effect immediately.
@@ -193,48 +187,58 @@ class RateRouterBase : public Router {
     double last_tu_tokens = 0.0;
     double hold_until = 0.0;  // source-gating backoff
     bool drip_scheduled = false;
-
-    [[nodiscard]] double earliest_send(double min_rate) const {
-      const double rate = rate_tps > min_rate ? rate_tps : min_rate;
-      const double paced = last_send + last_tu_tokens / rate;
-      return paced > hold_until ? paced : hold_until;
-    }
   };
   struct DemandEntry {
     PaymentId payment = 0;
     Amount remaining = 0;
   };
+  /// One (from, to) pair; its paths are the path ids
+  /// [first_path, first_path + path_count).
   struct PairState {
-    std::vector<PathState> paths;
+    PairKey key;
+    std::uint32_t first_path = 0;
+    std::uint32_t path_count = 0;
     std::deque<DemandEntry> demands;
   };
+  static constexpr std::uint32_t kNoPair = ~std::uint32_t{0};
 
-  // Typed timer dispatch (Engine::schedule_timer): drip timers pack the
-  // pair endpoints into `a` and the path index into `b`; deferred admits
-  // pack the payment id into `a` and this sentinel into `b`. Path counts
-  // are tiny (k paths per pair), so the sentinel can never collide.
+  // Typed timer dispatch (Engine::schedule_timer): drip timers carry the
+  // pair index in `a` and the path's index within the pair in `b`; deferred
+  // admits carry the payment id in `a` and this sentinel in `b`. Path
+  // counts are tiny (k paths per pair), so the sentinel can never collide.
   static constexpr std::uint64_t kAdmitTimer = ~std::uint64_t{0};
   [[nodiscard]] static constexpr std::uint64_t pack_pair(PairKey pair) noexcept {
     return (static_cast<std::uint64_t>(pair.from) << 32) | pair.to;
   }
-  [[nodiscard]] static constexpr PairKey unpack_pair(std::uint64_t a) noexcept {
-    return PairKey{static_cast<NodeId>(a >> 32),
-                   static_cast<NodeId>(a & 0xffffffffu)};
-  }
   void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) override;
 
   void admit_demand(Engine& engine, const pcn::Payment& payment);
-  PairState* ensure_pair(Engine& engine, const PairKey& pair);
+  /// Index of the pair in pairs_, creating it (and its paths) on first
+  /// touch; kNoPair if no usable path exists. The one insert: it appends to
+  /// pairs_ and every per-path array, so callers re-index after it and hold
+  /// no reference into that storage across it.
+  std::uint32_t ensure_pair(Engine& engine, const PairKey& pair);
   /// One price-update + probe round: the body of the recurring tau timer
   /// (minus the subclass on_tick hook).
   void run_protocol_tick(Engine& engine);
   /// Eqs. (21)-(22) over every channel, then the flat price mirror.
   void update_prices(Engine& engine);
-  /// Eqs. (25)-(26) over every pair, in pairs_ order.
+  /// Eqs. (25)-(26) over every pair in storage order, then the drips of
+  /// every pair with pending demand in sweep_order_.
   void probe_pairs(Engine& engine);
-  void schedule_drip(Engine& engine, const PairKey& pair, std::size_t path_index);
-  void try_send(Engine& engine, const PairKey& pair, std::size_t path_index);
-  [[nodiscard]] double total_pair_rate(const PairState& pair) const;
+  void schedule_drip(Engine& engine, std::uint32_t pair, std::size_t path_index);
+  void try_send(Engine& engine, std::uint32_t pair, std::size_t path_index);
+  /// Global id of the pair's `index`-th path.
+  [[nodiscard]] std::uint32_t path_id(std::uint32_t pair, std::size_t index) const {
+    return pairs_[pair].first_path + static_cast<std::uint32_t>(index);
+  }
+  [[nodiscard]] double earliest_send(std::uint32_t path) const {
+    const double rate =
+        rate_tps_[path] > config_.min_rate_tps ? rate_tps_[path] : config_.min_rate_tps;
+    const PathPacing& pacing = pacing_[path];
+    const double paced = pacing.last_send + pacing.last_tu_tokens / rate;
+    return paced > pacing.hold_until ? paced : pacing.hold_until;
+  }
   /// Per-hop amounts (eq. 24) for a TU of `value` on `path`, filled into
   /// fee_scratch_ — valid until the next fee_schedule call. Rejected admits
   /// (funds short, window re-check) thus cost no allocation; only a TU that
@@ -243,7 +247,7 @@ class RateRouterBase : public Router {
   /// compose with the price-derived rate (identity in a benign run: base 0,
   /// proportional 0.0 leaves every double bit-identical).
   [[nodiscard]] const std::vector<Amount>& fee_schedule(
-      const pcn::Network& network, const PathState& path, Amount value) const;
+      const pcn::Network& network, std::uint32_t path, Amount value) const;
 
   /// The one fee policy (eq. 24's rate term): shared by the public
   /// fee_rate() and the flat-array fee schedule so the formula can never
@@ -253,16 +257,7 @@ class RateRouterBase : public Router {
   }
   /// Probe price rho_p of a path (eq. 25): the flat hop prices summed in
   /// hop order, times (1 + T_fee).
-  [[nodiscard]] double path_price(const PathState& path) const;
-
-  /// O(1) pair lookup for the per-TU paths (drips, sends, delivery acks).
-  /// pairs_ stays an ordered map because probe_pairs' iteration order
-  /// schedules drip events — it must remain the sorted order the frozen
-  /// event stream was recorded with; its nodes are pointer-stable, so the
-  /// index can hold plain pointers.
-  [[nodiscard]] PairState& pair_state(const PairKey& pair) {
-    return *pair_index_.at(pack_pair(pair));
-  }
+  [[nodiscard]] double path_price(std::uint32_t path) const;
 
   RateProtocolConfig config_;
   std::vector<ChannelPrices> prices_;
@@ -271,13 +266,41 @@ class RateRouterBase : public Router {
   /// reads, bit-identical to recomputing the price per visit.
   std::vector<double> price_flat_;
 
-  std::map<PairKey, PairState> pairs_;
-  // SPLICER_LINT_ALLOW(unordered-decl): keyed O(1) lookup cache over pairs_;
-  // never iterated — every order-sensitive sweep walks the ordered pairs_ map.
-  std::unordered_map<std::uint64_t, PairState*> pair_index_;
+  /// Every pair ever admitted, in creation order. Append-only (ensure_pair
+  /// is the one insert, nothing erases), so a pair's index is stable for
+  /// the router's lifetime. A deque, so growth never relocates a pair: a
+  /// std::deque of demands allocates when moved, and a vector's growth
+  /// would rebuild every pair's queue at once.
+  std::deque<PairState> pairs_;
+  /// pairs_ indices sorted by PairKey, kept sorted by ensure_pair's binary-
+  /// search insert. The one order-sensitive structure: probe_pairs
+  /// schedules drips in this order, the sorted pair order the frozen event
+  /// stream was recorded with.
+  std::vector<std::uint32_t> sweep_order_;
+  // Per-path state, indexed by path id; a pair's paths are one contiguous
+  // id range, so the tau sweep is a linear scan of these arrays. The two
+  // largest per-path records, pacing_ and full_paths_, are never swept and
+  // live in deques: they grow in fixed chunks instead of by doubling, whose
+  // freed blocks fragmented the heap over many runs in one process.
+  std::vector<double> rate_tps_;
+  std::vector<std::uint32_t> outstanding_;
+  std::deque<PathPacing> pacing_;
+  /// Directed-channel index (2*channel + direction) of every hop of every
+  /// path, precomputed once at path creation: probes and fee schedules read
+  /// the flat per-tick price array instead of re-deriving the direction and
+  /// chasing the channel record on every visit. Path p's hops are
+  /// hops_[hop_begin_[p], hop_begin_[p + 1]).
+  std::vector<std::uint32_t> hops_;
+  std::vector<std::uint32_t> hop_begin_{0};
+  /// The full client -> ... -> client path of each path id, ready to send
+  /// on; only try_send reads it.
+  std::deque<graph::Path> full_paths_;
+  // SPLICER_LINT_ALLOW(unordered-decl): keyed O(1) pair-index lookup by
+  // packed PairKey; never iterated — the sweep order is sweep_order_.
+  std::unordered_map<std::uint64_t, std::uint32_t> pair_index_;
   // SPLICER_LINT_ALLOW(unordered-decl): keyed lookup/erase by PaymentId only,
   // never iterated; iteration order cannot reach the event stream.
-  std::unordered_map<PaymentId, PairKey> pair_of_payment_;
+  std::unordered_map<PaymentId, std::uint32_t> pair_of_payment_;
   /// fee_schedule's output buffer: one live schedule at a time (try_send
   /// consumes it before the next call), so the per-TU vector is hoisted out
   /// of the send path — capacity reaches the longest path's hop count once

@@ -1,6 +1,5 @@
 #include "sim/scheduler.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -8,6 +7,9 @@
 namespace splicer::sim {
 
 std::uint32_t Scheduler::acquire_node(Time when) {
+  // A NaN time has no place in the (when, seq) order: it would fire after
+  // every finite event and leave now() at NaN.
+  if (std::isnan(when)) throw std::invalid_argument("Scheduler::at: NaN time");
   std::uint32_t slot;
   if (free_head_ != kNullIndex) {
     slot = free_head_;
@@ -18,15 +20,17 @@ std::uint32_t Scheduler::acquire_node(Time when) {
     pool_.emplace_back();
   }
   Node& node = pool_[slot];
-  node.when = when < now_ ? now_ : when;
   node.seq = next_seq_++;
+  // `+ 0.0` folds -0.0 into +0.0 (the key orders raw bits) and leaves every
+  // other non-NaN value unchanged.
+  heap_push(HeapEntry{(when < now_ ? now_ : when) + 0.0, node.seq, slot});
   return slot;
 }
 
 void Scheduler::release_node(std::uint32_t slot) {
   Node& node = pool_[slot];
   ++node.generation;  // invalidate outstanding EventIds for this slot
-  node.heap_pos = kNullIndex;
+  node.seq = 0;       // a heap entry still naming this slot is now stale
   node.event = EngineEvent{};
   node.callback = nullptr;
   node.next_free = free_head_;
@@ -36,7 +40,6 @@ void Scheduler::release_node(std::uint32_t slot) {
 Scheduler::EventId Scheduler::at(Time when, Callback callback) {
   const std::uint32_t slot = acquire_node(when);
   pool_[slot].callback = std::move(callback);
-  heap_push(slot);
   return (static_cast<EventId>(pool_[slot].generation) << 32) | slot;
 }
 
@@ -52,13 +55,12 @@ Scheduler::EventId Scheduler::at(Time when, const EngineEvent& event) {
   }
   const std::uint32_t slot = acquire_node(when);
   pool_[slot].event = event;
-  heap_push(slot);
   return (static_cast<EventId>(pool_[slot].generation) << 32) | slot;
 }
 
 namespace {
 [[nodiscard]] Time next_boundary_after(Time now, Time period) {
-  if (period <= 0) {
+  if (!(period > 0)) {
     throw std::invalid_argument("Scheduler::at_next_boundary: period <= 0");
   }
   // Strictly after now: a flush that runs exactly on boundary k*period and
@@ -84,11 +86,9 @@ bool Scheduler::cancel(EventId id) {
   Node& node = pool_[slot];
   // A stale generation (or a free slot) means the event already fired or
   // was cancelled: report failure without touching any accounting.
-  if (node.generation != generation_of(id) || node.heap_pos == kNullIndex) {
-    return false;
-  }
-  heap_remove(node.heap_pos);
+  if (node.generation != generation_of(id) || node.seq == 0) return false;
   release_node(slot);
+  ++cancelled_in_heap_;
   return true;
 }
 
@@ -121,114 +121,112 @@ void Scheduler::audit_check_pop(const HeapEntry& top) {
 
 void Scheduler::audit_validate_heap() const {
   const std::uint32_t size = static_cast<std::uint32_t>(heap_.size());
+  std::size_t stale = 0;
   for (std::uint32_t pos = 0; pos < size; ++pos) {
     const HeapEntry& entry = heap_[pos];
-    if (pos > 0 && fires_before(entry, heap_[(pos - 1) / 4])) {
+    if (pos > 0 && key(entry) < key(heap_[(pos - 1) / 4])) {
       throw std::logic_error(
           "Scheduler audit: 4-ary heap property violated");
     }
-    const Node& node = pool_[entry.slot];
-    if (node.heap_pos != pos || node.when != entry.when ||
-        node.seq != entry.seq) {
-      throw std::logic_error(
-          "Scheduler audit: heap entry / pool back-pointer mismatch");
-    }
+    if (is_cancelled(entry)) ++stale;
+  }
+  if (stale != cancelled_in_heap_) {
+    throw std::logic_error(
+        "Scheduler audit: cancelled count differs from the heap's stale entries");
   }
 }
 #endif
 
 bool Scheduler::step() {
+  drop_cancelled_tops();
   if (heap_.empty()) return false;
-#ifdef SPLICER_AUDIT
-  audit_check_pop(heap_[0]);
-#endif
-  const std::uint32_t slot = heap_[0].slot;
-  Node& node = pool_[slot];
-  now_ = node.when;
-  // Copy the payload out before releasing: the handler may schedule new
-  // events, which can recycle this slot or grow the pool.
-  const EngineEvent event = node.event;
-  Callback callback = std::move(node.callback);
-  heap_remove(0);
-  release_node(slot);
-  if (event.kind == EngineEvent::Kind::kNone) {
-    callback();  // empty callbacks throw bad_function_call, as before
-  } else {
-    sink_->handle_event(event);
-  }
+  fire_top();
   return true;
 }
 
 std::size_t Scheduler::run(Time until, std::size_t max_events) {
   std::size_t executed = 0;
-  while (executed < max_events && !heap_.empty()) {
-    if (heap_[0].when > until) break;
-    if (step()) ++executed;
+  while (executed < max_events) {
+    drop_cancelled_tops();
+    if (heap_.empty() || heap_[0].when > until) break;
+    fire_top();
+    ++executed;
   }
   return executed;
 }
 
-void Scheduler::heap_push(std::uint32_t slot) {
-  const Node& node = pool_[slot];
-  pool_[slot].heap_pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{node.when, node.seq, slot});
-  sift_up(pool_[slot].heap_pos);
-#ifdef SPLICER_AUDIT
-  audit_on_mutation();
-#endif
-}
-
-void Scheduler::heap_remove(std::uint32_t pos) {
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) {
-#ifdef SPLICER_AUDIT
-    audit_on_mutation();
-#endif
-    return;  // removed the tail entry
+void Scheduler::drop_cancelled_tops() {
+  // The count is exact, so a run with no cancels never reads the pool here.
+  while (cancelled_in_heap_ != 0 && is_cancelled(heap_[0])) {
+    --cancelled_in_heap_;  // first: heap_pop may run the audit's recount
+    heap_pop();
   }
-  heap_[pos] = last;
-  pool_[last.slot].heap_pos = pos;
-  // The moved entry may violate the heap property in either direction.
-  sift_down(pos);
-  sift_up(pool_[last.slot].heap_pos);
-#ifdef SPLICER_AUDIT
-  audit_on_mutation();
-#endif
 }
 
-void Scheduler::sift_up(std::uint32_t pos) {
-  const HeapEntry entry = heap_[pos];
+void Scheduler::fire_top() {
+  const HeapEntry top = heap_[0];
+#ifdef SPLICER_AUDIT
+  audit_check_pop(top);
+#endif
+  Node& node = pool_[top.slot];
+  now_ = top.when;
+  // Copy the payload out before releasing: the handler may schedule new
+  // events, which can recycle this slot or grow the pool.
+  const EngineEvent event = node.event;
+  Callback callback = std::move(node.callback);
+  heap_pop();
+  release_node(top.slot);
+  if (event.kind == EngineEvent::Kind::kNone) {
+    callback();  // empty callbacks throw bad_function_call, as before
+  } else {
+    sink_->handle_event(event);
+  }
+}
+
+void Scheduler::heap_push(const HeapEntry& entry) {
+  const Key entry_key = key(entry);
+  auto pos = static_cast<std::uint32_t>(heap_.size());
+  heap_.push_back(entry);
   while (pos > 0) {
     const std::uint32_t parent = (pos - 1) / 4;
-    if (!fires_before(entry, heap_[parent])) break;
+    if (!(entry_key < key(heap_[parent]))) break;
     heap_[pos] = heap_[parent];
-    pool_[heap_[pos].slot].heap_pos = pos;
     pos = parent;
   }
   heap_[pos] = entry;
-  pool_[entry.slot].heap_pos = pos;
+#ifdef SPLICER_AUDIT
+  audit_on_mutation();
+#endif
 }
 
-void Scheduler::sift_down(std::uint32_t pos) {
-  const HeapEntry entry = heap_[pos];
-  const std::uint32_t size = static_cast<std::uint32_t>(heap_.size());
-  for (;;) {
-    const std::uint32_t first_child = pos * 4 + 1;
-    if (first_child >= size) break;
-    std::uint32_t best = first_child;
-    const std::uint32_t last_child =
-        std::min(first_child + 3, size - 1);
-    for (std::uint32_t c = first_child + 1; c <= last_child; ++c) {
-      if (fires_before(heap_[c], heap_[best])) best = c;
+void Scheduler::heap_pop() {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  const auto size = static_cast<std::uint32_t>(heap_.size());
+  const Key last_key = key(last);
+  std::uint32_t pos = 0;
+  while (pos * 4 + 1 < size) {
+    const std::uint32_t first = pos * 4 + 1;
+    std::uint32_t best = first;
+    Key best_key = key(heap_[first]);
+    // The earliest child: a select per candidate instead of a branch (the
+    // compare's outcome is unpredictable), over all four children when they
+    // exist and the tail's remainder otherwise.
+    const std::uint32_t end = first + 4 <= size ? first + 4 : size;
+    for (std::uint32_t c = first + 1; c < end; ++c) {
+      const Key child_key = key(heap_[c]);
+      const bool earlier = child_key < best_key;
+      best = earlier ? c : best;
+      best_key = earlier ? child_key : best_key;
     }
-    if (!fires_before(heap_[best], entry)) break;
+    if (!(best_key < last_key)) break;
     heap_[pos] = heap_[best];
-    pool_[heap_[pos].slot].heap_pos = pos;
     pos = best;
   }
-  heap_[pos] = entry;
-  pool_[entry.slot].heap_pos = pos;
+  if (pos < size) heap_[pos] = last;
+#ifdef SPLICER_AUDIT
+  audit_on_mutation();
+#endif
 }
 
 }  // namespace splicer::sim

@@ -7,14 +7,18 @@
 // DESIGN.md substitution table).
 //
 // Hot-path representation: events live in a free-list pool (stable slots,
-// no per-event allocation) and are ordered by an index-based 4-ary min-heap
-// that moves 4-byte slot indices instead of whole event records. An event
+// no per-event allocation) and are ordered by a 4-ary min-heap of 24-byte
+// entries that carry the (when, seq) key inline, so sifts compare within
+// the contiguous heap array and write nothing back into the pool. An event
 // is either a typed EngineEvent (dispatched through the registered
 // EventSink) or a std::function fallback for low-frequency work. EventIds
-// encode (slot, generation), so cancel() removes the event from the heap
-// eagerly — no tombstone set to sift through, and cancelling an
-// already-fired id is a detected no-op (the generation has moved on).
+// encode (slot, generation). cancel() is lazy: it frees the pool slot at
+// once (the generation bump makes the id stale, so cancelling twice or
+// after firing is a detected no-op) and leaves the heap entry in place; the
+// entry is dropped when it reaches the top, because its seq no longer
+// matches its slot's. A count of such entries keeps pending() exact.
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -39,7 +43,8 @@ class Scheduler {
   /// EngineEvent; fallback callbacks work without one.
   void set_sink(EventSink* sink) noexcept { sink_ = sink; }
 
-  /// Schedules at absolute time (clamped to now if in the past).
+  /// Schedules at absolute time (clamped to now if in the past). Throws
+  /// std::invalid_argument for a NaN time; +inf is legal.
   EventId at(Time when, Callback callback);
   EventId at(Time when, const EngineEvent& event);
 
@@ -53,13 +58,15 @@ class Scheduler {
 
   /// Schedules at the next strict multiple of `period` after now — the
   /// coalescing point for per-epoch batched work: every request made inside
-  /// one epoch lands on the same boundary timestamp. period must be > 0.
+  /// one epoch lands on the same boundary timestamp. Throws
+  /// std::invalid_argument unless period > 0 (a NaN period included).
   EventId at_next_boundary(Time period, Callback callback);
   EventId at_next_boundary(Time period, const EngineEvent& event);
 
   /// Cancels a pending event; returns false if already fired/cancelled.
-  /// Eager: the event leaves the heap immediately and its pool slot is
-  /// recycled (the slot's generation counter invalidates the old id).
+  /// The pool slot is recycled at once (its generation counter invalidates
+  /// the old id); the heap entry stays until it reaches the top and is
+  /// dropped there without moving now() or counting as executed.
   bool cancel(EventId id);
 
   /// Schedules `callback` every `period` seconds starting at now+period,
@@ -68,8 +75,11 @@ class Scheduler {
   // per simulated second — the documented fallback variant, not the hot path.
   void every(Time period, std::function<bool()> callback);
 
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
+  /// Live events only: heap entries minus the cancelled ones still in it.
+  [[nodiscard]] std::size_t pending() const noexcept {
+    return heap_.size() - cancelled_in_heap_;
+  }
+  [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
 
   /// Executes the next event; returns false if none remain.
   bool step();
@@ -85,10 +95,8 @@ class Scheduler {
   static constexpr std::uint32_t kNullIndex = 0xffffffffu;
 
   struct Node {
-    Time when = 0.0;
-    std::uint64_t seq = 0;           // (when, seq) is the firing order
+    std::uint64_t seq = 0;           // 0 while free; matches its live heap entry
     std::uint32_t generation = 1;    // bumped on release; validates EventIds
-    std::uint32_t heap_pos = kNullIndex;  // kNullIndex when free
     std::uint32_t next_free = kNullIndex;
     EngineEvent event;
     Callback callback;  // non-empty = fallback dispatch
@@ -101,11 +109,13 @@ class Scheduler {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
-  /// Pops a pool slot (growing the pool if the free list is empty) and
-  /// stamps it with `when` and the next sequence number.
+  /// Pops a pool slot (growing the pool if the free list is empty), stamps
+  /// it with the next sequence number and pushes its heap entry at `when`
+  /// (clamped to now). Throws std::invalid_argument for a NaN `when`.
   std::uint32_t acquire_node(Time when);
   /// Returns a slot to the free list; bumps its generation so any EventId
-  /// still pointing at it is detected as stale.
+  /// still pointing at it is detected as stale, and zeroes its seq so a heap
+  /// entry still naming it reads as cancelled.
   void release_node(std::uint32_t slot);
 
   /// Heap entry with the ordering key inlined: sift comparisons stay in the
@@ -116,22 +126,31 @@ class Scheduler {
     std::uint32_t slot;
   };
 
-  [[nodiscard]] static bool fires_before(const HeapEntry& a,
-                                         const HeapEntry& b) noexcept {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
+  /// (when, seq) as one unsigned integer: the bits of a non-negative double
+  /// order like its value (acquire_node rejects NaN and folds -0.0 into
+  /// +0.0), and seqs are unique, so one compare decides firing order.
+  using Key = unsigned __int128;
+  [[nodiscard]] static Key key(const HeapEntry& e) noexcept {
+    return (static_cast<Key>(std::bit_cast<std::uint64_t>(e.when)) << 64) | e.seq;
+  }
+  [[nodiscard]] bool is_cancelled(const HeapEntry& e) const noexcept {
+    return pool_[e.slot].seq != e.seq;
   }
 
-  void heap_push(std::uint32_t slot);
-  void heap_remove(std::uint32_t pos);
-  void sift_up(std::uint32_t pos);
-  void sift_down(std::uint32_t pos);
+  void heap_push(const HeapEntry& entry);
+  /// Removes the top entry: the last entry sifts down once from the root.
+  void heap_pop();
+  /// Drops cancelled entries off the top, so heap_[0] (if any) is live.
+  void drop_cancelled_tops();
+  /// Fires heap_[0], which drop_cancelled_tops has left live.
+  void fire_top();
 
 #ifdef SPLICER_AUDIT
   // Dynamic witness for the heap-order invariant (SPLICER_AUDIT builds):
-  // pops must be monotone in (when, seq) — the firing order the frozen fig7
-  // baseline depends on — and every ~4096 heap mutations the full 4-ary heap
-  // property plus the pool heap_pos back-pointers are re-validated.
+  // live pops must be monotone in (when, seq) — the firing order the frozen
+  // fig7 baseline depends on — and every ~4096 heap mutations the full 4-ary
+  // heap property is re-validated, along with the cancelled count: exactly
+  // cancelled_in_heap_ entries may carry a seq their slot no longer holds.
   void audit_check_pop(const HeapEntry& top);
   void audit_validate_heap() const;
   void audit_on_mutation() {
@@ -148,6 +167,7 @@ class Scheduler {
   std::vector<Node> pool_;
   std::uint32_t free_head_ = kNullIndex;
   std::vector<HeapEntry> heap_;  // 4-ary min-heap keyed by (when, seq)
+  std::size_t cancelled_in_heap_ = 0;  // heap entries whose slot was released
 };
 
 }  // namespace splicer::sim

@@ -288,5 +288,123 @@ TEST(RateProtocol, GoldenOutcomesAcrossSettlementModes) {
   }
 }
 
+struct GoldenPair {
+  NodeId from;
+  NodeId to;
+  std::vector<RateRouterBase::PathDiagnostics> paths;
+};
+
+// Runs `router` on `network` over the scenario's workload and compares every
+// golden pair's pair_diagnostics, field by field with ==, at t = 6 s: mid-run,
+// while TUs are in flight. The snapshot event only reads router state.
+void expect_golden_rate_state(const Scenario& scenario,
+                              const pcn::Network& network,
+                              RateRouterBase& router,
+                              const std::vector<GoldenPair>& golden) {
+  std::vector<std::vector<RateRouterBase::PathDiagnostics>> seen;
+  EngineConfig config;
+  config.queues_enabled = true;
+  Engine engine(network, scenario.make_source(), router, config);
+  engine.scheduler().at(6.0, [&] {
+    for (const auto& g : golden) seen.push_back(router.pair_diagnostics(g.from, g.to));
+  });
+  (void)engine.run();
+  ASSERT_EQ(seen.size(), golden.size());
+  for (std::size_t p = 0; p < golden.size(); ++p) {
+    const auto& want = golden[p].paths;
+    const auto& got = seen[p];
+    const std::string pair =
+        std::to_string(golden[p].from) + "->" + std::to_string(golden[p].to);
+    ASSERT_EQ(got.size(), want.size()) << pair;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const std::string where = pair + " path " + std::to_string(i);
+      EXPECT_EQ(got[i].rate_tps, want[i].rate_tps) << where;
+      EXPECT_EQ(got[i].window, want[i].window) << where;
+      EXPECT_EQ(got[i].price, want[i].price) << where;
+      EXPECT_EQ(got[i].outstanding, want[i].outstanding) << where;
+      EXPECT_EQ(got[i].hops, want[i].hops) << where;
+    }
+  }
+}
+
+// Rate, window, price, outstanding and hop count of five pairs per rate
+// scheme on the GoldenOutcomes scenario, as hex-float literals. The scheme
+// goldens see rates only through drip times; these pin the doubles the
+// per-tau probe sweep writes, bit for bit.
+TEST(RateProtocol, GoldenRateStateMidRun) {
+  ScenarioConfig scenario_config;
+  scenario_config.seed = 7;
+  scenario_config.topology.nodes = 60;
+  scenario_config.placement.candidate_count = 6;
+  scenario_config.workload.payment_count = 250;
+  scenario_config.workload.horizon_seconds = 12.0;
+  const auto scenario = prepare_scenario(scenario_config);
+
+  SplicerRouter splicer(scenario.multi_star.hub_of, scenario.multi_star.hubs,
+                        SplicerRouter::Config{});
+  expect_golden_rate_state(scenario, scenario.multi_star.network, splicer, {
+      {28, 58, {
+          {0x1.2e8eff8ed95e2p+7, 0x1.020ac465f4ca6p+4, 0x1.f80520fba713dp-3, 0, 3},
+          {0x1.bdfc38a209e1p+6, 0x1.01f15020ed1fp+4, 0x1.c7b2eab5b5ea5p-2, 0, 4},
+      }},
+      {0, 13, {
+          {0x1p-1, 0x1.008ca62931a5p+4, 0x1.2ac7385f31541p-4, 0, 4},
+          {0x1.3a12208aefebbp+7, 0x1.008ca9ab98608p+4, 0x1.b1cd3d1ab7d4bp-6, 0, 3},
+      }},
+      {22, 26, {
+          {0x1.0c181df20492bp+8, 0x1.017ef4a8fb11bp+4, 0x1.68aa9cf161b77p-3, 1, 2},
+      }},
+      {17, 44, {
+          {0x1.29e4f326348p+4, 0x1.0217814f7bff5p+4, 0x1.50b744e5b6ba3p-3, 0, 3},
+          {0x1p-1, 0x1.01e4933765ea1p+4, 0x1.740bfcaabdbd7p-2, 0, 4},
+      }},
+      {38, 58, {
+          {0x1.793bd6705e89bp+6, 0x1.01cbd153ecbe6p+4, 0x1.0fd9b432f6b22p-1, 0, 3},
+          {0x1.b4341fe96b5c9p+5, 0x1.003ff6179a67cp+4, 0x1.75b1e14ee7e26p-1, 0, 4},
+      }},
+  });
+
+  SpiderRouter::Config spider_config;
+  spider_config.protocol.path_type = graph::PathType::kEdgeDisjointShortest;
+  SpiderRouter spider(spider_config);
+  expect_golden_rate_state(scenario, scenario.raw, spider, {
+      {31, 29, {
+          {0x1.1e06358d1c3dep+2, 0x1.000a3d566dbp+4, 0x0p+0, 0, 2},
+          {0x1.0817d6c8f29f3p+8, 0x1.000a3d4bf1b08p+4, 0x0p+0, 0, 2},
+          {0x1p-1, 0x1.000a3d4175d13p+4, 0x1.0d03bb9d70e5bp+1, 0, 2},
+          {0x1p-1, 0x1.000a3d36fa121p+4, 0x1.e81425f2add58p+0, 0, 2},
+          {0x1.2d6f58878ff56p+6, 0x1.000a3d2c7e732p+4, 0x1.7675e86aa508dp-6, 0, 3},
+      }},
+      {8, 12, {
+          {0x1.4312534dfaa5fp+7, 0x1.00051eb851eb8p+4, 0x0p+0, 0, 1},
+          {0x1p-1, 0x1p+4, 0x1.534cea6d49a65p-3, 0, 2},
+          {0x1.fbf29c74994efp+7, 0x1p+4, 0x1.35da8c3fce19p-5, 0, 2},
+          {0x1p-1, 0x1p+4, 0x1.d8bbffd86d8b7p-3, 0, 2},
+          {0x1p-1, 0x1p+4, 0x1.f9af9ef211f21p-2, 0, 4},
+      }},
+      {25, 26, {
+          {0x1p-1, 0x1.004491b7503fbp+4, 0x1.08efc91517dcfp-1, 0, 1},
+          {0x1.c9c6532c72098p+4, 0x1.002e589a4c63fp+4, 0x1.09ac0e582d6dap-2, 0, 2},
+          {0x1p-1, 0x1p+0, 0x1.a3d76b401b675p+0, 0, 2},
+          {0x1p-1, 0x1.0021c8afd0d11p+4, 0x1.bbe0f7a724e8ap+1, 0, 2},
+          {0x1.3c2f736745255p+4, 0x1p+0, 0x1.36fb0e455a837p-2, 0, 2},
+      }},
+      {4, 26, {
+          {0x1p-1, 0x1.00051eb851eb8p+4, 0x1.b3cc5d366e472p-2, 0, 3},
+          {0x1p-1, 0x1.000a3d512f88p+4, 0x1.b24594baf331bp+0, 0, 4},
+          {0x1p-1, 0x1.000a3d46b398ap+4, 0x1.a679c1fb9e13ep+0, 1, 4},
+          {0x1p-1, 0x1.00051ea897a3dp+4, 0x1.6fe045f8162d7p-1, 0, 5},
+          {0x1p-1, 0x1.00051ea359ac1p+4, 0x1.a0e757fdc6c5fp+1, 0, 5},
+      }},
+      {0, 13, {
+          {0x1p-1, 0x1.00210a76f9837p+4, 0x1.19077780b499ap+1, 0, 3},
+          {0x1.08ef705e7ddb2p+5, 0x1.00210a4ca8058p+4, 0x1.e533eb0c2bb46p-3, 0, 3},
+          {0x1p-1, 0x1.001bebc85a865p+4, 0x1.73274c88ccae2p+1, 0, 3},
+          {0x1p-1, 0x1p+0, 0x1.89df21a705787p+1, 0, 4},
+          {0x1p-1, 0x1.803d6e19ecb5cp+2, 0x1.04c0136ee30f1p+1, 0, 4},
+      }},
+  });
+}
+
 }  // namespace
 }  // namespace splicer::routing

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -115,6 +122,8 @@ TEST(Scheduler, EveryRejectsNonPositivePeriod) {
   Scheduler s;
   EXPECT_THROW(s.every(0.0, [] { return true; }), std::invalid_argument);
   EXPECT_THROW(s.every(-0.2, [] { return true; }), std::invalid_argument);
+  EXPECT_THROW(s.every(std::numeric_limits<double>::quiet_NaN(), [] { return true; }),
+               std::invalid_argument);
   EXPECT_TRUE(s.empty());
 }
 
@@ -171,6 +180,66 @@ TEST(Scheduler, AtNextBoundaryIsStrictlyAfterNow) {
 TEST(Scheduler, AtNextBoundaryRejectsNonPositivePeriod) {
   Scheduler s;
   EXPECT_THROW(s.at_next_boundary(0.0, [] {}), std::invalid_argument);
+}
+
+// ---- NaN times -------------------------------------------------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(Scheduler, AtRejectsNanTime) {
+  // A NaN time used to be accepted: it fired after every finite event and
+  // left now() at NaN.
+  Scheduler s;
+  RecordingSink sink;
+  s.set_sink(&sink);
+  s.at(1.0, [] {});
+  EXPECT_THROW(s.at(kNaN, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.at(kNaN, EngineEvent{.kind = EngineEvent::Kind::kFlush}),
+               std::invalid_argument);
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(s.now(), 1.0);
+  EXPECT_TRUE(sink.events.empty());
+}
+
+TEST(Scheduler, AfterRejectsNanDelay) {
+  Scheduler s;
+  RecordingSink sink;
+  s.set_sink(&sink);
+  s.at(1.0, [&] {
+    EXPECT_THROW(s.after(kNaN, [] {}), std::invalid_argument);
+    EXPECT_THROW(s.after(kNaN, EngineEvent{.kind = EngineEvent::Kind::kFlush}),
+                 std::invalid_argument);
+  });
+  s.at(3.0, [] {});
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(s.now(), 3.0);
+  EXPECT_TRUE(sink.events.empty());
+}
+
+TEST(Scheduler, AtNextBoundaryRejectsNanPeriod) {
+  Scheduler s;
+  RecordingSink sink;
+  s.set_sink(&sink);
+  EXPECT_THROW(s.at_next_boundary(kNaN, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.at_next_boundary(kNaN, EngineEvent{.kind = EngineEvent::Kind::kFlush}),
+               std::invalid_argument);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(Scheduler, InfiniteTimeStaysLegal) {
+  Scheduler s;
+  std::vector<int> order;
+  s.at(std::numeric_limits<double>::infinity(), [&] { order.push_back(2); });
+  s.at(1e300, [&] { order.push_back(1); });
+  // run() stops at kForever, short of both; step() fires them in order.
+  EXPECT_EQ(s.run(), 0u);
+  EXPECT_EQ(s.pending(), 2u);
+  EXPECT_TRUE(s.step());
+  EXPECT_TRUE(s.step());
+  EXPECT_FALSE(s.step());
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(s.now(), std::numeric_limits<double>::infinity());
 }
 
 TEST(Scheduler, RunCountsOnlyRealExecutions) {
@@ -247,7 +316,7 @@ TEST(Scheduler, TypedAndCallbackEventsInterleaveInTimeOrder) {
   ASSERT_EQ(sink.events.size(), 1u);
 }
 
-// ---- Eager cancellation / pool generations ---------------------------------
+// ---- Lazy cancellation / pool generations ----------------------------------
 
 TEST(Scheduler, CancelAfterFireReturnsFalseAndKeepsAccounting) {
   // Regression: the tombstone scheduler accepted a cancel() of an already-
@@ -280,7 +349,7 @@ TEST(Scheduler, GenerationReuseInvalidatesOldIds) {
   EXPECT_FALSE(s.cancel(second));  // fired: detected stale
 }
 
-TEST(Scheduler, CancelRemovesEagerly) {
+TEST(Scheduler, PendingIsExactAfterCancelsFromTheMiddle) {
   Scheduler s;
   std::vector<Scheduler::EventId> ids;
   for (int i = 0; i < 10; ++i) ids.push_back(s.at(1.0 + i, [] {}));
@@ -291,6 +360,72 @@ TEST(Scheduler, CancelRemovesEagerly) {
   EXPECT_EQ(s.pending(), 7u);
   EXPECT_EQ(s.run(), 7u);
   EXPECT_TRUE(s.empty());
+}
+
+TEST(Scheduler, CancelledTopNeverMovesClockOrCounts) {
+  Scheduler s;
+  int fired = 0;
+  const auto early = s.at(1.0, [&] { ++fired; });
+  s.at(5.0, [&] { ++fired; });
+  EXPECT_TRUE(s.cancel(early));  // the top entry, now cancelled
+  EXPECT_EQ(s.pending(), 1u);
+  // run(until) stops short of the live event at 5: the cancelled top at 1
+  // is dropped, not executed, and the clock stays put.
+  EXPECT_EQ(s.run(2.0), 0u);
+  EXPECT_EQ(s.now(), 0.0);
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.run(5.0), 1u);
+  EXPECT_EQ(s.now(), 5.0);
+
+  // A cancelled top beyond `until` is no different.
+  const auto beyond = s.at(7.0, [&] { ++fired; });
+  s.at(9.0, [&] { ++fired; });
+  EXPECT_TRUE(s.cancel(beyond));
+  EXPECT_EQ(s.run(8.0), 0u);
+  EXPECT_EQ(s.now(), 5.0);
+  EXPECT_EQ(s.pending(), 1u);
+
+  // Only cancelled entries left: step() reports nothing to do.
+  EXPECT_EQ(s.run(), 1u);
+  const auto last = s.at(12.0, [&] { ++fired; });
+  EXPECT_TRUE(s.cancel(last));
+  EXPECT_TRUE(s.empty());
+  EXPECT_FALSE(s.step());
+  EXPECT_EQ(s.now(), 9.0);
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Scheduler, SlotReusedAfterCancelFiresOnlyTheNewEvent) {
+  // EventIds keep the pool slot in their low 32 bits; each case below
+  // checks that the new event really took over the cancelled one's slot,
+  // so its stale heap entry and the new live one coexist.
+  const auto slot = [](Scheduler::EventId id) { return static_cast<std::uint32_t>(id); };
+  Scheduler s;
+  std::vector<int> order;
+  // Reused for an earlier time: the stale entry at 5 sits below it.
+  const auto late = s.at(5.0, [&] { order.push_back(-1); });
+  EXPECT_TRUE(s.cancel(late));
+  const auto early = s.at(1.0, [&] { order.push_back(1); });
+  EXPECT_EQ(slot(early), slot(late));
+  s.at(3.0, [&] { order.push_back(3); });
+  EXPECT_EQ(s.pending(), 2u);
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(s.now(), 3.0);  // the stale entry at 5 never moved the clock
+  EXPECT_TRUE(s.empty());
+
+  // Reused for a later time: the stale entry at 4 reaches the top first.
+  const auto first = s.at(4.0, [&] { order.push_back(-2); });
+  EXPECT_TRUE(s.cancel(first));
+  const auto second = s.at(6.0, [&] { order.push_back(6); });
+  EXPECT_EQ(slot(second), slot(first));
+  EXPECT_FALSE(s.cancel(first));  // stale id, live slot: still rejected
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.run(5.0), 0u);
+  EXPECT_EQ(s.now(), 3.0);
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(s.now(), 6.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 6}));
 }
 
 TEST(Scheduler, DrainWithInterleavedCancelsIsDeterministic) {
@@ -344,6 +479,135 @@ TEST(Scheduler, PoolStressReusesSlotsConsistently) {
   s.run();
   EXPECT_EQ(fired + cancelled, 200u * 50u);
   EXPECT_TRUE(s.empty());
+}
+
+// ---- Differential check against a reference model -------------------------
+
+/// Records the seq payload (`a`) of every typed event it receives.
+class SeqSink final : public EventSink {
+ public:
+  explicit SeqSink(std::vector<std::uint64_t>& fired) : fired_(fired) {}
+  void handle_event(const EngineEvent& event) override { fired_.push_back(event.a); }
+
+ private:
+  std::vector<std::uint64_t>& fired_;
+};
+
+/// One seeded script of random operations, mirrored on a reference model:
+/// a std::set of live (when, seq) keys plus a map of live ids. After every
+/// operation the pop order, now(), pending() and empty() must match the
+/// model, as must every cancel() result and every run() count.
+void run_differential_script(std::uint64_t seed, int ops) {
+  Scheduler s;
+  std::vector<std::uint64_t> fired;  // seqs, in firing order
+  SeqSink sink(fired);
+  s.set_sink(&sink);
+
+  common::Rng rng(seed);
+  std::set<std::pair<double, std::uint64_t>> model;
+  std::map<Scheduler::EventId, std::pair<double, std::uint64_t>> live;
+  std::map<std::uint64_t, Scheduler::EventId> id_of_seq;
+  std::vector<Scheduler::EventId> dead;  // fired or cancelled
+  std::vector<std::uint64_t> expected;   // model firing order
+  std::vector<double> times;             // earlier targets, for exact ties
+  double now = 0.0;
+  std::uint64_t next_seq = 0;
+
+  const auto model_pop = [&] {
+    const auto top = *model.begin();
+    model.erase(model.begin());
+    now = top.first;
+    expected.push_back(top.second);
+    const Scheduler::EventId id = id_of_seq.at(top.second);
+    live.erase(id);
+    dead.push_back(id);
+  };
+
+  std::size_t checked = 0;
+  for (int op = 0; op < ops; ++op) {
+    const std::string where = "seed " + std::to_string(seed) + " op " + std::to_string(op);
+    const std::size_t kind = rng.index(10);
+    if (kind < 4) {
+      // Schedule: zero delays, past times (clamped), exact ties with an
+      // earlier target, and fresh times on a coarse grid (more ties).
+      const std::uint64_t seq = next_seq++;
+      double when;
+      switch (rng.index(5)) {
+        case 0: when = now; break;
+        case 1: when = now - rng.uniform(0.0, 5.0); break;
+        case 2: when = times.empty() ? now : times[rng.index(times.size())]; break;
+        default: when = now + std::floor(rng.uniform(0.0, 10.0) * 4.0) / 4.0; break;
+      }
+      times.push_back(when);
+      const bool relative = rng.bernoulli(0.3);
+      const double delay = when - now;
+      const double target = relative ? now + delay : when;
+      Scheduler::EventId id;
+      if (rng.bernoulli(0.5)) {
+        const EngineEvent event{.kind = EngineEvent::Kind::kFlush, .a = seq};
+        id = relative ? s.after(delay, event) : s.at(when, event);
+      } else {
+        const auto record = [&fired, seq] { fired.push_back(seq); };
+        id = relative ? s.after(delay, record) : s.at(when, record);
+      }
+      const std::pair<double, std::uint64_t> key{target < now ? now : target, seq};
+      model.insert(key);
+      ASSERT_TRUE(live.emplace(id, key).second) << where << ": id reused while live";
+      id_of_seq[seq] = id;
+    } else if (kind < 6) {
+      // Cancel a live, a fired/cancelled or an unknown id.
+      Scheduler::EventId id;
+      const std::size_t which = rng.index(4);
+      if (which == 0 && !live.empty()) {
+        auto it = live.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(rng.index(live.size())));
+        id = it->first;
+      } else if (which == 1 && !dead.empty()) {
+        id = dead[rng.index(dead.size())];
+      } else if (which == 2) {
+        id = rng.index(64);  // generation 0 is never handed out
+      } else {
+        id = (Scheduler::EventId{1} << 32) | 0xfffffff0u;  // slot past the pool
+      }
+      const auto it = live.find(id);
+      const bool expect = it != live.end();
+      if (expect) {
+        model.erase(it->second);
+        live.erase(it);
+        dead.push_back(id);
+      }
+      ASSERT_EQ(s.cancel(id), expect) << where;
+    } else if (kind < 8) {
+      const bool expect = !model.empty();
+      if (expect) model_pop();
+      ASSERT_EQ(s.step(), expect) << where;
+    } else {
+      const double until =
+          rng.bernoulli(0.2) ? Scheduler::kForever : now + rng.uniform(0.0, 5.0);
+      const std::size_t max_events =
+          rng.bernoulli(0.3) ? Scheduler::kUnlimited : rng.index(8);
+      std::size_t count = 0;
+      while (count < max_events && !model.empty() && model.begin()->first <= until) {
+        model_pop();
+        ++count;
+      }
+      ASSERT_EQ(s.run(until, max_events), count) << where;
+    }
+    ASSERT_EQ(fired.size(), expected.size()) << where;
+    for (; checked < expected.size(); ++checked) {
+      ASSERT_EQ(fired[checked], expected[checked]) << where;
+    }
+    ASSERT_EQ(s.now(), now) << where;
+    ASSERT_EQ(s.pending(), model.size()) << where;
+    ASSERT_EQ(s.empty(), model.empty()) << where;
+  }
+}
+
+TEST(Scheduler, MatchesReferenceModelOnRandomScripts) {
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    run_differential_script(seed, 3000);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

@@ -39,7 +39,10 @@
 # A SPLICER_AUDIT=ON build then runs the smoke-label suites with the
 # scheduler heap-order witness and the engine's queue-accounting witness
 # compiled in — the runtime backstop for what splicer_lint can only
-# approximate statically.
+# approximate statically. The same build runs the fig7 smoke (--threads 1)
+# and diffs it against tests/data/fig7_baseline, so the witnesses also see
+# the real Splicer and Spider event streams: lazy cancels, drip timers and
+# the per-tau rate sweep.
 #
 # Hostile-world gates (fault injection / channel churn / policy mutators):
 #   * the robustness bench runs its fast sweep — it exits nonzero itself if
@@ -201,11 +204,16 @@ ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
 echo "CI: SPLICER_AUDIT smoke subset (dynamic contract witnesses)"
 AUDIT_DIR="$BUILD_DIR-audit"
 cmake -B "$AUDIT_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DSPLICER_AUDIT=ON -DSPLICER_BUILD_BENCH=OFF
+  -DSPLICER_AUDIT=ON -DSPLICER_BUILD_BENCH=ON
 cmake --build "$AUDIT_DIR" -j "$JOBS"
 ctest --test-dir "$AUDIT_DIR" -L smoke --output-on-failure -j "$JOBS"
 echo "CI: churn-storm stress under SPLICER_AUDIT (dynamic witnesses on)"
 "$AUDIT_DIR/robustness_test" --gtest_filter='DeadlockUnderChurn.*'
+echo "CI: fig7 smoke under SPLICER_AUDIT vs frozen baseline"
+mkdir -p "$SMOKE_DIR/audit-fig7"
+SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/audit-fig7" \
+  "$AUDIT_DIR/bench_fig7_small_scale" --threads 1 > "$SMOKE_DIR/audit-fig7.txt"
+diff -r tests/data/fig7_baseline "$SMOKE_DIR/audit-fig7"
 
 echo "CI: ThreadSanitizer smoke (thread pool, parallel experiment runner)"
 TSAN_DIR="$BUILD_DIR-tsan"
