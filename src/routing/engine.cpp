@@ -153,8 +153,8 @@ void Engine::handle_event(const sim::EngineEvent& event) {
       schedule_next_mutation();
       break;
     }
-    case Kind::kNone:
-      throw std::logic_error("Engine: untyped event reached the sink");
+    case Kind::kNone:  // Scheduler::at rejects it
+      throw std::logic_error("Engine: kNone event reached the sink");
   }
 }
 
@@ -165,38 +165,23 @@ Engine::Engine(pcn::Network network, std::vector<pcn::Payment> payments,
              config) {}
 
 EngineMetrics Engine::run() {
-  begin_run();
+  init_mutators();
+  router_.on_start(*this);
+  schedule_next_arrival();
+  schedule_next_mutation();
 
   // The hard stop tracks the deadlines pulled so far; streamed arrivals
   // keep extending it, so the loop re-runs until the bound stabilises (for
   // replay sources the final bound equals the old whole-vector scan).
   double hard_stop = last_deadline_seen_ + config_.horizon_slack_s + 60.0;
   for (;;) {
-    run_window(hard_stop);
+    metrics_.scheduler_events += scheduler_.run(hard_stop);
     const double extended =
         last_deadline_seen_ + config_.horizon_slack_s + 60.0;
     if (scheduler_.empty() || extended <= hard_stop) break;
     hard_stop = extended;
   }
 
-  finish_run();
-  return metrics_;
-}
-
-void Engine::begin_run() {
-  init_mutators();
-  router_.on_start(*this);
-  schedule_next_arrival();
-  schedule_next_mutation();
-}
-
-std::size_t Engine::run_window(double until) {
-  const std::size_t executed = scheduler_.run(until);
-  metrics_.scheduler_events += executed;
-  return executed;
-}
-
-void Engine::finish_run() {
   metrics_.simulated_seconds = scheduler_.now();
   if (config_.settlement_epoch_s > 0) {
     // Apply any residue whose flush boundary fell past the hard stop so the
@@ -215,6 +200,7 @@ void Engine::finish_run() {
   if (network_.total_funds() != initial_funds_) {
     throw std::logic_error("Engine: funds-conservation violation");
   }
+  return metrics_;
 }
 
 void Engine::init_mutators() {
@@ -328,9 +314,8 @@ void Engine::on_channel_close(ChannelId channel) {
   std::vector<TuId> victims;
   live_.for_each([&](TuId id, const LiveTu& live) {
     if (live.resolved) return;
-    const auto& tu = live.tu;
-    for (std::size_t i = 0; i < tu.path.edges.size(); ++i) {
-      if (tu.path.edges[i] == channel && live.hop_locked[i]) {
+    for (std::size_t i = 0; i < live.locked_hops; ++i) {
+      if (live.tu.path.edges[i] == channel) {
         victims.push_back(id);
         return;
       }
@@ -446,10 +431,7 @@ TuId Engine::send_tu(TransactionUnit tu) {
     ++state->tus_launched;
   }
 
-  LiveTu live;
-  live.hop_locked.assign(tu.path.edges.size(), 0);
-  live.tu = std::move(tu);
-  live_.emplace(id, std::move(live));
+  live_.emplace(id, LiveTu{.tu = std::move(tu)});
   ++metrics_.tus_sent;
   attempt_hop(id);
   return id;
@@ -549,7 +531,7 @@ void Engine::attempt_hop(TuId id) {
     }
     return;
   }
-  live.hop_locked[hop] = 1;
+  live.locked_hops = hop + 1;
   ds.next_free = std::max(scheduler_.now(), ds.next_free) +
                  common::to_tokens(amount) / config_.process_rate_tokens_per_s;
   ++metrics_.messages.data_hops;
@@ -625,7 +607,7 @@ void Engine::deliver(TuId id) {
       metrics_.messages.control_messages += 1;
     }
   }
-  settle_backwards(id);
+  unwind(id, live, /*settle=*/true);
   // Hand the router a moved-out TU instead of a deep copy (path +
   // hop_amounts vectors, once per delivered TU). The live entry is only
   // consulted for scalar fields afterwards (tu.payment at release), and
@@ -636,38 +618,6 @@ void Engine::deliver(TuId id) {
   // Batched mode settles from the epoch buffer, so nothing references the
   // live entry anymore; per-hop mode releases it after the last ack event.
   if (config_.settlement_epoch_s > 0) release_live_tu(id);
-}
-
-void Engine::settle_backwards(TuId id) {
-  LiveTu* live_ptr = live_.find(id);
-  if (live_ptr == nullptr) return;
-  auto& live = *live_ptr;
-  const auto& tu = live.tu;
-  const std::size_t hops = tu.path.edges.size();
-  if (config_.settlement_epoch_s > 0) {
-    // Batched mode: fold every locked hop into the epoch buffer; a single
-    // flush event applies them all at the next settlement_epoch_s boundary.
-    add_pending_locked_hops(live, /*is_settle=*/true);
-    return;  // deliver() releases the live entry
-  }
-  // The ack walks back from the destination, one hop per hop_delay,
-  // settling each lock into the receiving side.
-  double delay = config_.hop_delay_s;
-  for (std::size_t i = hops; i-- > 0;) {
-    if (!live.hop_locked[i]) continue;
-    scheduler_.after(
-        delay, sim::EngineEvent{
-                   .kind = sim::EngineEvent::Kind::kSettleAck,
-                   .channel = tu.path.edges[i],
-                   .aux = tu.path.nodes[i],
-                   .a = static_cast<std::uint64_t>(tu.hop_amounts[i])});
-    delay += config_.hop_delay_s;
-  }
-  scheduler_.after(delay,
-                   sim::EngineEvent{.kind = sim::EngineEvent::Kind::kReleaseTu,
-                                    .channel = 0,
-                                    .aux = 0,
-                                    .a = id});
 }
 
 void Engine::fail_tu(TuId id, FailReason reason) {
@@ -684,32 +634,38 @@ void Engine::fail_tu(TuId id, FailReason reason) {
   ++metrics_.tus_failed;
   ++metrics_.tu_fail_reasons[static_cast<std::size_t>(reason)];
   if (reason == FailReason::kMarkedCongested) ++metrics_.tus_marked;
-  refund_backwards(id, reason);
-  // Moved, not copied — refund_backwards has already folded every locked
-  // hop, and the live entry only needs scalar fields afterwards (see
-  // deliver()). refund_backwards schedules events but never inserts into
-  // live_, so `live` stays valid across the call.
+  unwind(id, *live, /*settle=*/false);
+  // Moved, not copied — unwind has already folded every locked hop, and the
+  // live entry only needs scalar fields afterwards (see deliver()). unwind
+  // schedules events but never inserts into live_, so `live` stays valid
+  // across the call.
   const TransactionUnit tu_copy = std::move(live->tu);
   router_.on_tu_failed(*this, tu_copy, reason);
   if (config_.settlement_epoch_s > 0) release_live_tu(id);
 }
 
-void Engine::refund_backwards(TuId id, FailReason reason) {
-  (void)reason;
-  LiveTu* live_ptr = live_.find(id);
-  if (live_ptr == nullptr) return;
-  auto& live = *live_ptr;
+void Engine::unwind(TuId id, const LiveTu& live, bool settle) {
   const auto& tu = live.tu;
   if (config_.settlement_epoch_s > 0) {
-    add_pending_locked_hops(live, /*is_settle=*/false);
-    return;  // fail_tu() releases the live entry
+    // Batched mode: a single flush event applies every folded hop at the
+    // next settlement_epoch_s boundary; the caller releases the live entry.
+    for (std::size_t i = live.locked_hops; i-- > 0;) {
+      const auto& ch = network_.channel(tu.path.edges[i]);
+      add_pending(tu.path.edges[i], ch.direction_from(tu.path.nodes[i]),
+                  tu.hop_amounts[i], settle);
+    }
+    return;
   }
+  // The ack walks back from the last locked hop, one hop per hop_delay:
+  // a settle moves each lock into the receiving side, a refund returns it
+  // to the payer.
+  const auto kind = settle ? sim::EngineEvent::Kind::kSettleAck
+                           : sim::EngineEvent::Kind::kRefundAck;
   double delay = config_.hop_delay_s;
-  for (std::size_t i = tu.path.edges.size(); i-- > 0;) {
-    if (!live.hop_locked[i]) continue;
+  for (std::size_t i = live.locked_hops; i-- > 0;) {
     scheduler_.after(
         delay, sim::EngineEvent{
-                   .kind = sim::EngineEvent::Kind::kRefundAck,
+                   .kind = kind,
                    .channel = tu.path.edges[i],
                    .aux = tu.path.nodes[i],
                    .a = static_cast<std::uint64_t>(tu.hop_amounts[i])});
@@ -836,16 +792,6 @@ void Engine::schedule_drain(ChannelId channel, pcn::Direction d, double when) {
                     .channel = channel,
                     .aux = static_cast<std::uint32_t>(pcn::dir_index(d)),
                     .a = 0});
-}
-
-void Engine::add_pending_locked_hops(const LiveTu& live, bool is_settle) {
-  const auto& tu = live.tu;
-  for (std::size_t i = tu.path.edges.size(); i-- > 0;) {
-    if (!live.hop_locked[i]) continue;
-    const auto& ch = network_.channel(tu.path.edges[i]);
-    add_pending(tu.path.edges[i], ch.direction_from(tu.path.nodes[i]),
-                tu.hop_amounts[i], is_settle);
-  }
 }
 
 void Engine::add_pending(ChannelId channel, pcn::Direction d, Amount amount,

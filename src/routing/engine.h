@@ -113,7 +113,7 @@ struct EngineMetrics {
   std::uint64_t probe_sums_reused = 0;
   /// Hostile-world mutation events applied (0 in a benign run).
   std::uint64_t mutation_events = 0;
-  /// Deadlock witnesses, stamped by finish_run() before the conservation
+  /// Deadlock witnesses, stamped at the end of run() before the conservation
   /// check: TUs still resident in the live slab and value still sitting in
   /// waiting queues when the run ended. Both must be 0 for every scheme
   /// even under churn storms — a nonzero value is a wedged liquidity cycle
@@ -187,7 +187,6 @@ class Engine : private sim::EventSink {
 
   // ---- Router-facing API ----------------------------------------------
   [[nodiscard]] double now() const noexcept { return scheduler_.now(); }
-  [[nodiscard]] sim::Scheduler& scheduler() noexcept { return scheduler_; }
   [[nodiscard]] common::Rng& rng() noexcept { return rng_; }
   [[nodiscard]] pcn::Network& network() noexcept { return network_; }
   [[nodiscard]] const pcn::Network& network() const noexcept { return network_; }
@@ -207,9 +206,9 @@ class Engine : private sim::EventSink {
   }
 
   /// Arms a router timer `delay` seconds from now: fires back through
-  /// Router::on_timer with (a, b) verbatim. A typed pooled event — use this
-  /// instead of scheduler().after(...) for per-TU-frequency timers, where a
-  /// captured lambda would heap-allocate.
+  /// Router::on_timer with (a, b) verbatim. The one way a router schedules
+  /// work, from per-TU drips to the recurring tau tick: a typed pooled
+  /// event, never a heap-allocated closure.
   sim::Scheduler::EventId schedule_timer(double delay, std::uint64_t a,
                                          std::uint64_t b = 0) {
     return scheduler_.after(
@@ -257,7 +256,10 @@ class Engine : private sim::EventSink {
  private:
   struct LiveTu {
     TransactionUnit tu;
-    std::vector<char> hop_locked;  // which path edges currently hold a lock
+    /// Path edges [0, locked_hops) hold a lock: attempt_hop locks only
+    /// tu.next_hop, in path order, and nothing is released before the TU
+    /// resolves, so the locked hops are always a prefix.
+    std::size_t locked_hops = 0;
     /// deliver()/fail_tu() ran: in per-hop mode the entry outlives its
     /// resolution until the ack-chain kReleaseTu fires, and the channel-
     /// close sweep (and any late kMark) must not fail it a second time.
@@ -299,15 +301,6 @@ class Engine : private sim::EventSink {
   // tagged POD (see sim/engine_event.h) instead of a per-event closure.
   void handle_event(const sim::EngineEvent& event) override;
 
-  // run(), in three steps: router on_start + first lazy source pull; the
-  // event loop up to `until` (inclusive; returns events executed, also
-  // folded into metrics().scheduler_events); and the closing bookkeeping
-  // (simulated_seconds, residual batched settlements, deadlock witnesses,
-  // funds conservation).
-  void begin_run();
-  std::size_t run_window(double until);
-  void finish_run();
-
   // Mechanics.
   /// Pulls the next payment from the source (if any) and schedules its
   /// arrival event; called once at start-up and then from each arrival.
@@ -322,8 +315,11 @@ class Engine : private sim::EventSink {
   void arrive_next(TuId id);
   void deliver(TuId id);
   void fail_tu(TuId id, FailReason reason);
-  void settle_backwards(TuId id);
-  void refund_backwards(TuId id, FailReason reason);
+  /// Walks a resolved TU's locked hops back from the last one: settles them
+  /// on delivery, refunds them on failure. Per-hop mode schedules one ack
+  /// event per hop, a hop delay apart, then the kReleaseTu that frees the
+  /// live entry; batched mode folds each hop into the epoch buffer.
+  void unwind(TuId id, const LiveTu& live, bool settle);
   void enqueue(TuId id, ChannelId channel, pcn::Direction d);
   void drain_queue(ChannelId channel, pcn::Direction d);
   /// Schedules one drain wake-up at `when` unless one is already pending
@@ -351,9 +347,6 @@ class Engine : private sim::EventSink {
   // Batched settlement (settlement_epoch_s > 0).
   void add_pending(ChannelId channel, pcn::Direction d, Amount amount,
                    bool is_settle);
-  /// Folds every still-locked hop of a resolved TU into the epoch buffer
-  /// (settle on delivery, refund on failure).
-  void add_pending_locked_hops(const LiveTu& live, bool is_settle);
   void schedule_flush();
   /// Applies every pending settle/refund total, then (if `drain`) retries
   /// the queues whose funds changed.
@@ -373,7 +366,7 @@ class Engine : private sim::EventSink {
   // own scheduler, one staged kMutation event at a time (the arrival
   // pattern): equal-timestamp events across mutators fire in ascending
   // mutator index order.
-  /// Builds the mutators and stages each one's first event (begin_run).
+  /// Builds the mutators and stages each one's first event (start of run()).
   void init_mutators();
   /// Schedules one kMutation event for the earliest staged event, if any.
   void schedule_next_mutation();

@@ -28,22 +28,7 @@ void RateRouterBase::on_start(Engine& engine) {
   // channel_price() of the zero-initialised prices is 0 for every
   // direction, so the flat mirror starts at zero too.
   price_flat_.assign(2 * channels, 0.0);
-
-  // workload_horizon() is queried per tick: for streaming sources it grows
-  // as payments are pulled, so price updates keep running until the tail
-  // payments' deadlines have passed (replay sources report it exactly from
-  // the start, matching the old materialised-vector scan).
-  engine.scheduler().every(config_.tau_s, [this, &engine] {
-    if (engine.past_horizon()) return false;
-    run_protocol_tick(engine);
-    on_tick(engine);
-    return true;
-  });
-}
-
-void RateRouterBase::run_protocol_tick(Engine& engine) {
-  update_prices(engine);
-  probe_pairs(engine);
+  engine.schedule_timer(config_.tau_s, 0, kTickTimer);
 }
 
 void RateRouterBase::on_payment(Engine& engine, const pcn::Payment& payment) {
@@ -58,6 +43,18 @@ void RateRouterBase::on_payment(Engine& engine, const pcn::Payment& payment) {
 }
 
 void RateRouterBase::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) {
+  if (b == kTickTimer) {
+    // workload_horizon() is queried per tick: for streaming sources it
+    // grows as payments are pulled, so price updates keep running until the
+    // tail payments' deadlines have passed. The tick re-arms last, after the
+    // drips its sweep schedules, which fixes its place among same-instant
+    // events.
+    if (engine.past_horizon()) return;
+    update_prices(engine);
+    probe_pairs(engine);
+    engine.schedule_timer(config_.tau_s, 0, kTickTimer);
+    return;
+  }
   if (b == kAdmitTimer) {
     // Checked lookup: the decision delay can outlive the payment, and a
     // resolved state may already be evicted.

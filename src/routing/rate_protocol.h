@@ -90,6 +90,9 @@ class RateRouterBase : public Router {
   void on_tu_forwarded(Engine& engine, const TransactionUnit& tu,
                        ChannelId channel, pcn::Direction direction) override;
   void on_payment_resolved(Engine& engine, PaymentId payment) override;
+  /// Dispatches the timers this base arms: the tau tick, deferred admits
+  /// and per-path drips (see kAdmitTimer).
+  void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) override;
 
   [[nodiscard]] const RateProtocolConfig& protocol_config() const noexcept {
     return config_;
@@ -151,11 +154,6 @@ class RateRouterBase : public Router {
   [[nodiscard]] virtual std::vector<graph::Path> compute_pair_paths(
       Engine& engine, const PairKey& pair) const;
 
-  /// Called once per protocol tick (every tau) after prices update;
-  /// subclasses may add bookkeeping (e.g., Splicer's epoch sync counting
-  /// happens on its own timer).
-  virtual void on_tick(Engine& engine) { (void)engine; }
-
   /// Source-side admission (paper Alg. 2 line 10, F_ab < |d_i|): whether a
   /// TU with these hop amounts may be dispatched now. Splicer's smooth
   /// nodes see (epoch-synchronised) global state and hold the TU at the
@@ -168,6 +166,17 @@ class RateRouterBase : public Router {
     (void)hop_amounts;
     return true;
   }
+
+  // Timer `b` values (Engine::schedule_timer). A drip timer carries the
+  // pair index in `a` and the path's index within the pair in `b`; path
+  // counts are tiny (k paths per pair), so sentinels counted down from the
+  // top of the range never collide with one. A subclass that arms its own
+  // timer takes the next value down and hands every other timer to
+  // RateRouterBase::on_timer.
+  /// A deferred admit (decision_delay > 0): `a` is the payment id.
+  static constexpr std::uint64_t kAdmitTimer = ~std::uint64_t{0};
+  /// The recurring tau tick: price update, probe sweep, re-arm.
+  static constexpr std::uint64_t kTickTimer = kAdmitTimer - 1;
 
  private:
   struct ChannelPrices {
@@ -202,15 +211,9 @@ class RateRouterBase : public Router {
   };
   static constexpr std::uint32_t kNoPair = ~std::uint32_t{0};
 
-  // Typed timer dispatch (Engine::schedule_timer): drip timers carry the
-  // pair index in `a` and the path's index within the pair in `b`; deferred
-  // admits carry the payment id in `a` and this sentinel in `b`. Path
-  // counts are tiny (k paths per pair), so the sentinel can never collide.
-  static constexpr std::uint64_t kAdmitTimer = ~std::uint64_t{0};
   [[nodiscard]] static constexpr std::uint64_t pack_pair(PairKey pair) noexcept {
     return (static_cast<std::uint64_t>(pair.from) << 32) | pair.to;
   }
-  void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) override;
 
   void admit_demand(Engine& engine, const pcn::Payment& payment);
   /// Index of the pair in pairs_, creating it (and its paths) on first
@@ -218,9 +221,6 @@ class RateRouterBase : public Router {
   /// pairs_ and every per-path array, so callers re-index after it and hold
   /// no reference into that storage across it.
   std::uint32_t ensure_pair(Engine& engine, const PairKey& pair);
-  /// One price-update + probe round: the body of the recurring tau timer
-  /// (minus the subclass on_tick hook).
-  void run_protocol_tick(Engine& engine);
   /// Eqs. (21)-(22) over every channel, then the flat price mirror.
   void update_prices(Engine& engine);
   /// Eqs. (25)-(26) over every pair in storage order, then the drips of

@@ -133,10 +133,10 @@ class Router {
   }
 
   /// A timer armed through Engine::schedule_timer fired. `a` and `b` carry
-  /// whatever the router packed when arming — the typed hot-path
-  /// alternative to capturing lambdas for per-TU timers (pacing drips,
-  /// deferred admits): a POD event in the scheduler pool instead of a
-  /// heap-allocated closure.
+  /// whatever the router packed when arming. Every router timer lands here:
+  /// per-TU ones (pacing drips, deferred admits) and recurring ticks (the
+  /// tau tick, Splicer's epoch sync), which re-arm themselves from this
+  /// hook. Each is a POD event in the scheduler pool, never a closure.
   virtual void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) {
     (void)engine;
     (void)a;

@@ -14,19 +14,29 @@ SplicerRouter::SplicerRouter(std::vector<NodeId> hub_of, std::vector<NodeId> hub
       hubs_(std::move(hubs)),
       config_(config) {
   if (hubs_.empty()) throw std::invalid_argument("SplicerRouter: no hubs");
+  // A zero epoch would re-arm the sync at the same instant forever.
+  if (!(config_.epoch_s > 0)) {
+    throw std::invalid_argument("SplicerRouter: epoch_s must be > 0");
+  }
 }
 
 void SplicerRouter::on_start(Engine& engine) {
   RateRouterBase::on_start(engine);
+  engine.schedule_timer(config_.epoch_s, 0, kEpochTimer);
+}
+
+void SplicerRouter::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) {
+  if (b != kEpochTimer) {
+    RateRouterBase::on_timer(engine, a, b);
+    return;
+  }
   // Epoch synchronisation (Fig. 5 step 1): every hub exchanges the final
   // global information of the last epoch with every other hub. The horizon
-  // is queried per tick so streamed workloads keep extending it.
+  // is queried per epoch so streamed workloads keep extending it.
+  if (engine.past_horizon()) return;
   const auto z = hubs_.size();
-  engine.scheduler().every(config_.epoch_s, [&engine, z] {
-    if (engine.past_horizon()) return false;
-    engine.counters().sync_messages += z * (z - 1);
-    return true;
-  });
+  engine.counters().sync_messages += z * (z - 1);
+  engine.schedule_timer(config_.epoch_s, 0, kEpochTimer);
 }
 
 RateRouterBase::PairKey SplicerRouter::pair_of(const Engine& engine,

@@ -19,12 +19,13 @@ class SplicerRouter final : public RateRouterBase {
  public:
   struct Config {
     RateProtocolConfig protocol;
-    double epoch_s = 1.0;  // hub state-synchronisation epoch
+    double epoch_s = 1.0;  // hub state-synchronisation epoch; must be > 0
   };
 
   /// `hub_of[v]` = managing hub for every node (hubs map to themselves);
   /// `hubs` = the placed smooth nodes. Both come from
-  /// placement::TransformResult.
+  /// placement::TransformResult. Throws std::invalid_argument on empty
+  /// `hubs` or unless config.epoch_s > 0 (a NaN epoch included).
   SplicerRouter(std::vector<NodeId> hub_of, std::vector<NodeId> hubs);
   SplicerRouter(std::vector<NodeId> hub_of, std::vector<NodeId> hubs,
                 Config config);
@@ -32,6 +33,8 @@ class SplicerRouter final : public RateRouterBase {
   [[nodiscard]] std::string name() const override { return "Splicer"; }
 
   void on_start(Engine& engine) override;
+  /// The epoch sync; every other timer goes to RateRouterBase.
+  void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) override;
 
  protected:
   /// Rate/window/demand state is per client pair (the s,e of eq. 16)...
@@ -51,6 +54,9 @@ class SplicerRouter final : public RateRouterBase {
                               const std::vector<Amount>& hop_amounts) override;
 
  private:
+  /// Timer `b` of the epoch sync (see RateRouterBase::kAdmitTimer).
+  static constexpr std::uint64_t kEpochTimer = kTickTimer - 1;
+
   std::vector<NodeId> hub_of_;
   std::vector<NodeId> hubs_;
   Config config_;

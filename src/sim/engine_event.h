@@ -7,8 +7,8 @@
 // call per event. An EngineEvent is instead a tag plus a few POD fields,
 // stored inline in the scheduler's event pool and dispatched through a
 // single EventSink virtual call — no allocation anywhere on the hot path.
-// std::function callbacks remain available as a fallback variant for
-// low-frequency work (recurring router ticks, tests, tools).
+// It is the scheduler's only event type: recurring work (the rate tick,
+// Splicer's epoch sync) runs as router timers too.
 
 #include <cstdint>
 
@@ -16,7 +16,7 @@ namespace splicer::sim {
 
 struct EngineEvent {
   enum class Kind : std::uint8_t {
-    kNone = 0,       // unset — the event carries a fallback callback instead
+    kNone = 0,       // unset; Scheduler::at rejects it
     kArrival,        // pull the staged payment into the engine
     kDeadline,       // payment deadline fired: a = PaymentId
     kAttemptHop,     // (re)try a TU's current hop: a = TuId
@@ -39,9 +39,9 @@ struct EngineEvent {
   std::uint64_t b = 0;        // secondary payload (router timers)
 };
 
-/// Receiver for typed events. The engine implements this once; the
-/// scheduler dispatches every typed event through it (one devirtualizable
-/// call instead of one type-erased closure per event).
+/// Receiver for events. The engine implements this once; the scheduler
+/// dispatches every event through it (one devirtualizable call instead of
+/// one type-erased closure per event).
 class EventSink {
  public:
   virtual void handle_event(const EngineEvent& event) = 0;

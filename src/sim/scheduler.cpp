@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 namespace splicer::sim {
 
@@ -32,26 +31,18 @@ void Scheduler::release_node(std::uint32_t slot) {
   ++node.generation;  // invalidate outstanding EventIds for this slot
   node.seq = 0;       // a heap entry still naming this slot is now stale
   node.event = EngineEvent{};
-  node.callback = nullptr;
   node.next_free = free_head_;
   free_head_ = slot;
 }
 
-Scheduler::EventId Scheduler::at(Time when, Callback callback) {
-  const std::uint32_t slot = acquire_node(when);
-  pool_[slot].callback = std::move(callback);
-  return (static_cast<EventId>(pool_[slot].generation) << 32) | slot;
-}
-
 Scheduler::EventId Scheduler::at(Time when, const EngineEvent& event) {
   if (sink_ == nullptr) {
-    throw std::logic_error("Scheduler: typed event scheduled without a sink");
+    throw std::logic_error("Scheduler: event scheduled without a sink");
   }
   if (event.kind == EngineEvent::Kind::kNone) {
-    // kNone is the pool's "this node carries a callback" discriminator;
-    // letting it through would mis-route the event to the (empty) callback
-    // branch at fire time — reject at the scheduling site instead.
-    throw std::invalid_argument("Scheduler: typed event with kind kNone");
+    // kNone means "unset": an event nobody filled in would reach the sink
+    // with no handler, so reject it at the scheduling site instead.
+    throw std::invalid_argument("Scheduler: event with kind kNone");
   }
   const std::uint32_t slot = acquire_node(when);
   pool_[slot].event = event;
@@ -71,10 +62,6 @@ namespace {
 }
 }  // namespace
 
-Scheduler::EventId Scheduler::at_next_boundary(Time period, Callback callback) {
-  return at(next_boundary_after(now_, period), std::move(callback));
-}
-
 Scheduler::EventId Scheduler::at_next_boundary(Time period,
                                                const EngineEvent& event) {
   return at(next_boundary_after(now_, period), event);
@@ -90,17 +77,6 @@ bool Scheduler::cancel(EventId id) {
   release_node(slot);
   ++cancelled_in_heap_;
   return true;
-}
-
-// SPLICER_LINT_ALLOW(std-function): definition of the documented periodic-
-// tick fallback variant declared in scheduler.h; not on the hot path.
-void Scheduler::every(Time period, std::function<bool()> callback) {
-  // A zero, negative or NaN period would re-arm at the same instant
-  // forever, so run(until) could never advance the clock.
-  if (!(period > 0)) throw std::invalid_argument("Scheduler::every: period <= 0");
-  after(period, [this, period, cb = std::move(callback)]() mutable {
-    if (cb()) every(period, std::move(cb));
-  });
 }
 
 #ifdef SPLICER_AUDIT
@@ -173,14 +149,9 @@ void Scheduler::fire_top() {
   // Copy the payload out before releasing: the handler may schedule new
   // events, which can recycle this slot or grow the pool.
   const EngineEvent event = node.event;
-  Callback callback = std::move(node.callback);
   heap_pop();
   release_node(top.slot);
-  if (event.kind == EngineEvent::Kind::kNone) {
-    callback();  // empty callbacks throw bad_function_call, as before
-  } else {
-    sink_->handle_event(event);
-  }
+  sink_->handle_event(event);
 }
 
 void Scheduler::heap_push(const HeapEntry& entry) {

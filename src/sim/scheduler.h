@@ -6,21 +6,20 @@
 // the substitute substrate for the paper's LND-testnet deployment (see
 // DESIGN.md substitution table).
 //
-// Hot-path representation: events live in a free-list pool (stable slots,
-// no per-event allocation) and are ordered by a 4-ary min-heap of 24-byte
-// entries that carry the (when, seq) key inline, so sifts compare within
-// the contiguous heap array and write nothing back into the pool. An event
-// is either a typed EngineEvent (dispatched through the registered
-// EventSink) or a std::function fallback for low-frequency work. EventIds
-// encode (slot, generation). cancel() is lazy: it frees the pool slot at
-// once (the generation bump makes the id stale, so cancelling twice or
-// after firing is a detected no-op) and leaves the heap entry in place; the
-// entry is dropped when it reaches the top, because its seq no longer
-// matches its slot's. A count of such entries keeps pending() exact.
+// Representation: every event is a typed EngineEvent, dispatched through
+// the registered EventSink. Events live in a free-list pool of 48-byte
+// nodes (stable slots, no per-event allocation) and are ordered by a 4-ary
+// min-heap of 24-byte entries that carry the (when, seq) key inline, so
+// sifts compare within the contiguous heap array and write nothing back
+// into the pool. EventIds encode (slot, generation). cancel() is lazy: it
+// frees the pool slot at once (the generation bump makes the id stale, so
+// cancelling twice or after firing is a detected no-op) and leaves the heap
+// entry in place; the entry is dropped when it reaches the top, because its
+// seq no longer matches its slot's. A count of such entries keeps pending()
+// exact.
 
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/engine_event.h"
@@ -31,27 +30,20 @@ using Time = double;  // seconds
 
 class Scheduler {
  public:
-  // SPLICER_LINT_ALLOW(std-function): the documented low-frequency fallback
-  // variant (ticks, tests, tools); hot-path traffic uses typed pooled
-  // EngineEvents that never touch this type-erased path.
-  using Callback = std::function<void()>;
   using EventId = std::uint64_t;
 
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Registers the typed-event receiver. Required before scheduling any
-  /// EngineEvent; fallback callbacks work without one.
+  /// Registers the receiver every event is dispatched to. Required before
+  /// scheduling any event.
   void set_sink(EventSink* sink) noexcept { sink_ = sink; }
 
   /// Schedules at absolute time (clamped to now if in the past). Throws
-  /// std::invalid_argument for a NaN time; +inf is legal.
-  EventId at(Time when, Callback callback);
+  /// std::logic_error with no sink set, and std::invalid_argument for a NaN
+  /// time or a kNone event; +inf is legal.
   EventId at(Time when, const EngineEvent& event);
 
   /// Schedules `delay` seconds from now (delay < 0 clamps to 0).
-  EventId after(Time delay, Callback callback) {
-    return at(now_ + delay, std::move(callback));
-  }
   EventId after(Time delay, const EngineEvent& event) {
     return at(now_ + delay, event);
   }
@@ -60,7 +52,6 @@ class Scheduler {
   /// coalescing point for per-epoch batched work: every request made inside
   /// one epoch lands on the same boundary timestamp. Throws
   /// std::invalid_argument unless period > 0 (a NaN period included).
-  EventId at_next_boundary(Time period, Callback callback);
   EventId at_next_boundary(Time period, const EngineEvent& event);
 
   /// Cancels a pending event; returns false if already fired/cancelled.
@@ -68,12 +59,6 @@ class Scheduler {
   /// the old id); the heap entry stays until it reaches the top and is
   /// dropped there without moving now() or counting as executed.
   bool cancel(EventId id);
-
-  /// Schedules `callback` every `period` seconds starting at now+period,
-  /// until it returns false. Throws std::invalid_argument unless period > 0.
-  // SPLICER_LINT_ALLOW(std-function): periodic ticks fire a handful of times
-  // per simulated second — the documented fallback variant, not the hot path.
-  void every(Time period, std::function<bool()> callback);
 
   /// Live events only: heap entries minus the cancelled ones still in it.
   [[nodiscard]] std::size_t pending() const noexcept {
@@ -99,7 +84,6 @@ class Scheduler {
     std::uint32_t generation = 1;    // bumped on release; validates EventIds
     std::uint32_t next_free = kNullIndex;
     EngineEvent event;
-    Callback callback;  // non-empty = fallback dispatch
   };
 
   [[nodiscard]] static constexpr std::uint32_t slot_of(EventId id) noexcept {

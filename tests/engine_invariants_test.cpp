@@ -18,7 +18,7 @@ namespace {
 
 using common::whole_tokens;
 
-/// The deadlock witnesses finish_run() stamps: nothing alive or queued.
+/// The deadlock witnesses run() stamps: nothing alive or queued.
 void expect_nothing_wedged(const EngineMetrics& m) {
   EXPECT_EQ(m.resident_tus_at_end, 0u);
   EXPECT_EQ(m.wedged_queue_value, 0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "graph/generators.h"
@@ -28,9 +29,14 @@ class ScriptedRouter : public Router {
   void on_tu_failed(Engine&, const TransactionUnit& tu, FailReason reason) override {
     failed.emplace_back(tu, reason);
   }
+  void on_timer(Engine& engine, std::uint64_t, std::uint64_t) override {
+    if (timer) timer(engine);
+  }
 
   std::vector<TransactionUnit> delivered;
   std::vector<std::pair<TransactionUnit, FailReason>> failed;
+  /// Runs whenever a timer armed through Engine::schedule_timer fires.
+  std::function<void(Engine&)> timer;
 
  private:
   Script script_;
@@ -151,13 +157,14 @@ TEST(Engine, QueueModeHoldsThenDelivers) {
 
   ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
     engine.send_tu(two_hop_tu(engine.network(), p.id, p.value));
-    engine.scheduler().after(0.1, [&engine] {
-      auto& blocked =
-          engine.network().channel(engine.network().topology().find_edge(1, 2));
-      blocked.refund(blocked.direction_from(1), whole_tokens(10));
-      // Nudge the queue (normally settles/refunds inside the engine do it).
-    });
+    engine.schedule_timer(0.1, 0);
   });
+  router.timer = [](Engine& engine) {
+    auto& blocked =
+        engine.network().channel(engine.network().topology().find_edge(1, 2));
+    blocked.refund(blocked.direction_from(1), whole_tokens(10));
+    // Nudge the queue (normally settles/refunds inside the engine do it).
+  };
   EngineConfig config;
   config.queues_enabled = true;
   config.queue_delay_threshold_s = 5.0;  // do not mark in this test

@@ -338,7 +338,7 @@ TEST(LintInterproc, HotpathAllocFlagsReachableAllocHonorsAllow) {
 
 TEST(LintInterproc, HotpathAllocNeedsAHotRoot) {
   // Same file without reachability from a hot entry point: helpers that no
-  // handle_event/on_timer/run_protocol_tick reaches are not hot.
+  // handle_event/on_timer reaches are not hot.
   const std::string src =
       "struct Cold {\n"
       "  void prepare() { data_ = new int[4]; }\n"

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -237,6 +239,26 @@ TEST(RateProtocol, ZeroTauThrowsInsteadOfHanging) {
   EXPECT_THROW((void)engine.run(), std::invalid_argument);
 }
 
+TEST(RateProtocol, ZeroEpochThrowsInsteadOfHanging) {
+  // A zero epoch would re-arm Splicer's hub sync at the same instant
+  // forever; negative and NaN epochs are no better.
+  for (const double epoch_s :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(
+        {
+          SplicerRouter::Config config = hub_config();
+          config.epoch_s = epoch_s;
+          SplicerRouter router({1, 1, 2, 2}, {1, 2}, config);
+          Engine engine(hub_pair_network(),
+                        stream(0, 3, whole_tokens(5), 2.0, 2.0), router,
+                        EngineConfig{});
+          (void)engine.run();
+        },
+        std::invalid_argument)
+        << "epoch_s " << epoch_s;
+  }
+}
+
 // Pinned outcomes of all six schemes on a 60-node scenario under exact
 // (epoch 0) and batched (10 ms epoch) settlement. The frozen fig7 baseline
 // covers epoch 0 only; these values also pin the price/probe tick on the
@@ -294,6 +316,58 @@ struct GoldenPair {
   std::vector<RateRouterBase::PathDiagnostics> paths;
 };
 
+/// Forwards every hook to `inner`, and runs `snapshot` once at `when` from a
+/// timer of its own. It arms that timer before the inner on_start, so the
+/// snapshot is the first event scheduled: at a tie in time it fires before
+/// any of the inner router's events.
+class SnapshotRouter final : public Router {
+ public:
+  SnapshotRouter(Router& inner, double when, std::function<void()> snapshot)
+      : inner_(inner), when_(when), snapshot_(std::move(snapshot)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  void on_start(Engine& engine) override {
+    engine.schedule_timer(when_, 0, kSnapshotTimer);
+    inner_.on_start(engine);
+  }
+  void on_payment(Engine& engine, const pcn::Payment& payment) override {
+    inner_.on_payment(engine, payment);
+  }
+  void on_tu_delivered(Engine& engine, const TransactionUnit& tu) override {
+    inner_.on_tu_delivered(engine, tu);
+  }
+  void on_tu_failed(Engine& engine, const TransactionUnit& tu,
+                    FailReason reason) override {
+    inner_.on_tu_failed(engine, tu, reason);
+  }
+  void on_tu_forwarded(Engine& engine, const TransactionUnit& tu,
+                       ChannelId channel, pcn::Direction direction) override {
+    inner_.on_tu_forwarded(engine, tu, channel, direction);
+  }
+  void on_payment_timeout(Engine& engine, PaymentId payment) override {
+    inner_.on_payment_timeout(engine, payment);
+  }
+  void on_payment_resolved(Engine& engine, PaymentId payment) override {
+    inner_.on_payment_resolved(engine, payment);
+  }
+  void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) override {
+    if (b == kSnapshotTimer) {
+      snapshot_();
+    } else {
+      inner_.on_timer(engine, a, b);
+    }
+  }
+
+ private:
+  // No rate-router timer uses this `b`: drips carry a path index (< k
+  // paths) and the rate routers' sentinels sit at the top of the range.
+  static constexpr std::uint64_t kSnapshotTimer = std::uint64_t{1} << 63;
+
+  Router& inner_;
+  double when_;
+  std::function<void()> snapshot_;
+};
+
 // Runs `router` on `network` over the scenario's workload and compares every
 // golden pair's pair_diagnostics, field by field with ==, at t = 6 s: mid-run,
 // while TUs are in flight. The snapshot event only reads router state.
@@ -302,12 +376,12 @@ void expect_golden_rate_state(const Scenario& scenario,
                               RateRouterBase& router,
                               const std::vector<GoldenPair>& golden) {
   std::vector<std::vector<RateRouterBase::PathDiagnostics>> seen;
-  EngineConfig config;
-  config.queues_enabled = true;
-  Engine engine(network, scenario.make_source(), router, config);
-  engine.scheduler().at(6.0, [&] {
+  SnapshotRouter snapshot(router, 6.0, [&] {
     for (const auto& g : golden) seen.push_back(router.pair_diagnostics(g.from, g.to));
   });
+  EngineConfig config;
+  config.queues_enabled = true;
+  Engine engine(network, scenario.make_source(), snapshot, config);
   (void)engine.run();
   ASSERT_EQ(seen.size(), golden.size());
   for (std::size_t p = 0; p < golden.size(); ++p) {

@@ -116,7 +116,7 @@ class HostileSeedSweepTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(HostileSeedSweepTest, FaultInjectionPreservesConservationOnEverySeed) {
   // Node faults at a rate that downs most of the network over the run:
   // every payment still resolves exactly once, the engine's in-run funds
-  // conservation check holds (finish_run() throws otherwise), and nothing
+  // conservation check holds (run() throws otherwise), and nothing
   // stays resident at quiescence.
   ScenarioConfig config;
   config.seed = GetParam();
@@ -181,6 +181,67 @@ TEST(DeadlockUnderChurn, StormNeverWedgesAnySchemeOrSettlementMode) {
       EXPECT_EQ(m.wedged_queue_value, 0) << label;
       EXPECT_EQ(m.tus_delivered + m.tus_failed, m.tus_sent) << label;
     }
+  }
+}
+
+// Pinned outcomes of all six schemes under a hostile storm heavy enough to
+// close channels under locked TUs, in both settlement modes: the scenario of
+// GoldenOutcomesAcrossSettlementModes (rate_protocol_test) with faults,
+// churn and fee policies on. The close sweep and its refund walks decide
+// the kChannelClosed counts and every value after them.
+TEST(DeadlockUnderChurn, GoldenOutcomesUnderChurn) {
+  ScenarioConfig config;
+  config.seed = 7;
+  config.topology.nodes = 60;
+  config.placement.candidate_count = 6;
+  config.workload.payment_count = 250;
+  config.workload.horizon_seconds = 12.0;
+  const auto scenario = prepare_scenario(config);
+
+  SchemeConfig hostile;
+  hostile.engine.hostile.fault_rate = 4.0;
+  hostile.engine.hostile.churn_rate = 20.0;
+  hostile.engine.hostile.fee_policy_rate = 1.0;
+  hostile.engine.hostile.timelock_budget = 16;
+
+  struct Golden {
+    Scheme scheme;
+    double epoch_s;
+    std::size_t payments_completed;
+    Amount value_completed;
+    std::uint64_t tus_sent;
+    std::uint64_t channel_closed_tus;
+    std::uint64_t scheduler_events;
+    std::uint64_t messages;
+  };
+  const Golden kGolden[] = {
+      {Scheme::kSplicer, 0.0, 203, 8117872, 3245, 50, 31195, 27030},
+      {Scheme::kSplicer, 0.01, 202, 8056616, 3309, 58, 18435, 27568},
+      {Scheme::kSpider, 0.0, 168, 4855875, 3279, 85, 30665, 59974},
+      {Scheme::kSpider, 0.01, 167, 4823143, 3275, 86, 16693, 60761},
+      {Scheme::kFlash, 0.0, 196, 10645265, 424, 0, 3727, 3221},
+      {Scheme::kFlash, 0.01, 197, 10676715, 424, 0, 2431, 3240},
+      {Scheme::kLandmark, 0.0, 131, 3241305, 1268, 10, 9908, 7557},
+      {Scheme::kLandmark, 0.01, 130, 3145042, 1259, 12, 3700, 7600},
+      {Scheme::kA2l, 0.0, 145, 10453233, 149, 2, 2203, 2235},
+      {Scheme::kA2l, 0.01, 145, 10453233, 149, 2, 1908, 2235},
+      {Scheme::kShortestPath, 0.0, 125, 3153118, 209, 0, 2099, 1303},
+      {Scheme::kShortestPath, 0.01, 125, 3153118, 209, 0, 1706, 1303},
+  };
+  for (const auto& g : kGolden) {
+    SchemeConfig scheme_config = hostile;
+    scheme_config.engine.settlement_epoch_s = g.epoch_s;
+    const auto m = run_scheme(scenario, g.scheme, scheme_config);
+    const std::string where =
+        std::string(to_string(g.scheme)) + " epoch=" + std::to_string(g.epoch_s);
+    EXPECT_EQ(m.payments_completed, g.payments_completed) << where;
+    EXPECT_EQ(m.value_completed, g.value_completed) << where;
+    EXPECT_EQ(m.tus_sent, g.tus_sent) << where;
+    EXPECT_EQ(m.tu_fail_reasons[static_cast<std::size_t>(FailReason::kChannelClosed)],
+              g.channel_closed_tus)
+        << where;
+    EXPECT_EQ(m.scheduler_events, g.scheduler_events) << where;
+    EXPECT_EQ(m.messages.total(), g.messages) << where;
   }
 }
 

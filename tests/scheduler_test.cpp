@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -18,21 +20,39 @@
 namespace splicer::sim {
 namespace {
 
-/// Records every typed event it receives, in dispatch order.
-class RecordingSink final : public EventSink {
+/// Runs one action per event: act() stores the action and returns a
+/// kRouterTimer event whose `a` indexes it. Events of any other kind are
+/// recorded in `events`, in dispatch order.
+class ActionSink final : public EventSink {
  public:
+  explicit ActionSink(Scheduler& scheduler) { scheduler.set_sink(this); }
+
+  EngineEvent act(std::function<void()> action) {
+    actions_.push_back(std::move(action));
+    return EngineEvent{.kind = EngineEvent::Kind::kRouterTimer,
+                       .a = actions_.size() - 1};
+  }
   void handle_event(const EngineEvent& event) override {
-    events.push_back(event);
+    if (event.kind == EngineEvent::Kind::kRouterTimer) {
+      actions_[event.a]();
+    } else {
+      events.push_back(event);
+    }
   }
   std::vector<EngineEvent> events;
+
+ private:
+  // A deque: an action that schedules another must not move itself.
+  std::deque<std::function<void()>> actions_;
 };
 
 TEST(Scheduler, FiresInTimeOrder) {
   Scheduler s;
+  ActionSink sink(s);
   std::vector<int> order;
-  s.at(3.0, [&] { order.push_back(3); });
-  s.at(1.0, [&] { order.push_back(1); });
-  s.at(2.0, [&] { order.push_back(2); });
+  s.at(3.0, sink.act([&] { order.push_back(3); }));
+  s.at(1.0, sink.act([&] { order.push_back(1); }));
+  s.at(2.0, sink.act([&] { order.push_back(2); }));
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(s.now(), 3.0);
@@ -40,38 +60,42 @@ TEST(Scheduler, FiresInTimeOrder) {
 
 TEST(Scheduler, TiesBreakBySchedulingOrder) {
   Scheduler s;
+  ActionSink sink(s);
   std::vector<int> order;
-  s.at(1.0, [&] { order.push_back(1); });
-  s.at(1.0, [&] { order.push_back(2); });
-  s.at(1.0, [&] { order.push_back(3); });
+  s.at(1.0, sink.act([&] { order.push_back(1); }));
+  s.at(1.0, sink.act([&] { order.push_back(2); }));
+  s.at(1.0, sink.act([&] { order.push_back(3); }));
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Scheduler, AfterIsRelative) {
   Scheduler s;
+  ActionSink sink(s);
   double fired_at = -1.0;
-  s.at(5.0, [&] {
-    s.after(2.5, [&] { fired_at = s.now(); });
-  });
+  s.at(5.0, sink.act([&] {
+    s.after(2.5, sink.act([&] { fired_at = s.now(); }));
+  }));
   s.run();
   EXPECT_DOUBLE_EQ(fired_at, 7.5);
 }
 
 TEST(Scheduler, PastTimesClampToNow) {
   Scheduler s;
+  ActionSink sink(s);
   double fired_at = -1.0;
-  s.at(5.0, [&] {
-    s.at(1.0, [&] { fired_at = s.now(); });  // in the past
-  });
+  s.at(5.0, sink.act([&] {
+    s.at(1.0, sink.act([&] { fired_at = s.now(); }));  // in the past
+  }));
   s.run();
   EXPECT_DOUBLE_EQ(fired_at, 5.0);
 }
 
 TEST(Scheduler, CancelPreventsExecution) {
   Scheduler s;
+  ActionSink sink(s);
   bool fired = false;
-  const auto id = s.at(1.0, [&] { fired = true; });
+  const auto id = s.at(1.0, sink.act([&] { fired = true; }));
   EXPECT_TRUE(s.cancel(id));
   s.run();
   EXPECT_FALSE(fired);
@@ -79,7 +103,8 @@ TEST(Scheduler, CancelPreventsExecution) {
 
 TEST(Scheduler, CancelTwiceReturnsFalse) {
   Scheduler s;
-  const auto id = s.at(1.0, [] {});
+  ActionSink sink(s);
+  const auto id = s.at(1.0, sink.act([] {}));
   EXPECT_TRUE(s.cancel(id));
   EXPECT_FALSE(s.cancel(id));
   EXPECT_FALSE(s.cancel(9999));  // unknown id
@@ -87,10 +112,11 @@ TEST(Scheduler, CancelTwiceReturnsFalse) {
 
 TEST(Scheduler, RunUntilStopsEarly) {
   Scheduler s;
+  ActionSink sink(s);
   int count = 0;
-  s.at(1.0, [&] { ++count; });
-  s.at(2.0, [&] { ++count; });
-  s.at(10.0, [&] { ++count; });
+  s.at(1.0, sink.act([&] { ++count; }));
+  s.at(2.0, sink.act([&] { ++count; }));
+  s.at(10.0, sink.act([&] { ++count; }));
   const std::size_t executed = s.run(5.0);
   EXPECT_EQ(executed, 2u);
   EXPECT_EQ(count, 2);
@@ -99,39 +125,19 @@ TEST(Scheduler, RunUntilStopsEarly) {
 
 TEST(Scheduler, MaxEventsLimit) {
   Scheduler s;
+  ActionSink sink(s);
   int count = 0;
-  for (int i = 0; i < 10; ++i) s.at(i, [&] { ++count; });
+  for (int i = 0; i < 10; ++i) s.at(i, sink.act([&] { ++count; }));
   s.run(Scheduler::kForever, 4);
   EXPECT_EQ(count, 4);
 }
 
-TEST(Scheduler, EveryRepeatsUntilFalse) {
-  Scheduler s;
-  int ticks = 0;
-  s.every(1.0, [&] {
-    ++ticks;
-    return ticks < 5;
-  });
-  s.run();
-  EXPECT_EQ(ticks, 5);
-  EXPECT_DOUBLE_EQ(s.now(), 5.0);
-}
-
-TEST(Scheduler, EveryRejectsNonPositivePeriod) {
-  // A zero or negative period would re-arm at the same instant forever.
-  Scheduler s;
-  EXPECT_THROW(s.every(0.0, [] { return true; }), std::invalid_argument);
-  EXPECT_THROW(s.every(-0.2, [] { return true; }), std::invalid_argument);
-  EXPECT_THROW(s.every(std::numeric_limits<double>::quiet_NaN(), [] { return true; }),
-               std::invalid_argument);
-  EXPECT_TRUE(s.empty());
-}
-
 TEST(Scheduler, PendingCountsLiveEvents) {
   Scheduler s;
+  ActionSink sink(s);
   EXPECT_TRUE(s.empty());
-  const auto a = s.at(1.0, [] {});
-  s.at(2.0, [] {});
+  const auto a = s.at(1.0, sink.act([] {}));
+  s.at(2.0, sink.act([] {}));
   EXPECT_EQ(s.pending(), 2u);
   s.cancel(a);
   EXPECT_EQ(s.pending(), 1u);
@@ -141,9 +147,10 @@ TEST(Scheduler, PendingCountsLiveEvents) {
 
 TEST(Scheduler, StepExecutesExactlyOne) {
   Scheduler s;
+  ActionSink sink(s);
   int count = 0;
-  s.at(1.0, [&] { ++count; });
-  s.at(2.0, [&] { ++count; });
+  s.at(1.0, sink.act([&] { ++count; }));
+  s.at(2.0, sink.act([&] { ++count; }));
   EXPECT_TRUE(s.step());
   EXPECT_EQ(count, 1);
   EXPECT_TRUE(s.step());
@@ -152,12 +159,13 @@ TEST(Scheduler, StepExecutesExactlyOne) {
 
 TEST(Scheduler, AtNextBoundaryCoalescesOntoEpochGrid) {
   Scheduler s;
+  ActionSink sink(s);
   std::vector<double> fired;
-  s.at(0.013, [&] {
+  s.at(0.013, sink.act([&] {
     // Both requests from inside one epoch land on the same boundary.
-    s.at_next_boundary(0.010, [&] { fired.push_back(s.now()); });
-    s.at_next_boundary(0.010, [&] { fired.push_back(s.now()); });
-  });
+    s.at_next_boundary(0.010, sink.act([&] { fired.push_back(s.now()); }));
+    s.at_next_boundary(0.010, sink.act([&] { fired.push_back(s.now()); }));
+  }));
   s.run();
   ASSERT_EQ(fired.size(), 2u);
   EXPECT_NEAR(fired[0], 0.020, 1e-12);
@@ -167,11 +175,12 @@ TEST(Scheduler, AtNextBoundaryCoalescesOntoEpochGrid) {
 
 TEST(Scheduler, AtNextBoundaryIsStrictlyAfterNow) {
   Scheduler s;
+  ActionSink sink(s);
   double fired = -1.0;
-  s.at(0.020, [&] {
+  s.at(0.020, sink.act([&] {
     // Exactly on a boundary: the next one must be chosen, not this one.
-    s.at_next_boundary(0.010, [&] { fired = s.now(); });
-  });
+    s.at_next_boundary(0.010, sink.act([&] { fired = s.now(); }));
+  }));
   s.run();
   EXPECT_NEAR(fired, 0.030, 1e-12);
   EXPECT_GT(fired, 0.020);
@@ -179,7 +188,8 @@ TEST(Scheduler, AtNextBoundaryIsStrictlyAfterNow) {
 
 TEST(Scheduler, AtNextBoundaryRejectsNonPositivePeriod) {
   Scheduler s;
-  EXPECT_THROW(s.at_next_boundary(0.0, [] {}), std::invalid_argument);
+  ActionSink sink(s);
+  EXPECT_THROW(s.at_next_boundary(0.0, sink.act([] {})), std::invalid_argument);
 }
 
 // ---- NaN times -------------------------------------------------------------
@@ -190,10 +200,9 @@ TEST(Scheduler, AtRejectsNanTime) {
   // A NaN time used to be accepted: it fired after every finite event and
   // left now() at NaN.
   Scheduler s;
-  RecordingSink sink;
-  s.set_sink(&sink);
-  s.at(1.0, [] {});
-  EXPECT_THROW(s.at(kNaN, [] {}), std::invalid_argument);
+  ActionSink sink(s);
+  s.at(1.0, sink.act([] {}));
+  EXPECT_THROW(s.at(kNaN, sink.act([] {})), std::invalid_argument);
   EXPECT_THROW(s.at(kNaN, EngineEvent{.kind = EngineEvent::Kind::kFlush}),
                std::invalid_argument);
   EXPECT_EQ(s.pending(), 1u);
@@ -204,14 +213,13 @@ TEST(Scheduler, AtRejectsNanTime) {
 
 TEST(Scheduler, AfterRejectsNanDelay) {
   Scheduler s;
-  RecordingSink sink;
-  s.set_sink(&sink);
-  s.at(1.0, [&] {
-    EXPECT_THROW(s.after(kNaN, [] {}), std::invalid_argument);
+  ActionSink sink(s);
+  s.at(1.0, sink.act([&] {
+    EXPECT_THROW(s.after(kNaN, sink.act([] {})), std::invalid_argument);
     EXPECT_THROW(s.after(kNaN, EngineEvent{.kind = EngineEvent::Kind::kFlush}),
                  std::invalid_argument);
-  });
-  s.at(3.0, [] {});
+  }));
+  s.at(3.0, sink.act([] {}));
   EXPECT_EQ(s.run(), 2u);
   EXPECT_EQ(s.now(), 3.0);
   EXPECT_TRUE(sink.events.empty());
@@ -219,9 +227,8 @@ TEST(Scheduler, AfterRejectsNanDelay) {
 
 TEST(Scheduler, AtNextBoundaryRejectsNanPeriod) {
   Scheduler s;
-  RecordingSink sink;
-  s.set_sink(&sink);
-  EXPECT_THROW(s.at_next_boundary(kNaN, [] {}), std::invalid_argument);
+  ActionSink sink(s);
+  EXPECT_THROW(s.at_next_boundary(kNaN, sink.act([] {})), std::invalid_argument);
   EXPECT_THROW(s.at_next_boundary(kNaN, EngineEvent{.kind = EngineEvent::Kind::kFlush}),
                std::invalid_argument);
   EXPECT_TRUE(s.empty());
@@ -229,9 +236,10 @@ TEST(Scheduler, AtNextBoundaryRejectsNanPeriod) {
 
 TEST(Scheduler, InfiniteTimeStaysLegal) {
   Scheduler s;
+  ActionSink sink(s);
   std::vector<int> order;
-  s.at(std::numeric_limits<double>::infinity(), [&] { order.push_back(2); });
-  s.at(1e300, [&] { order.push_back(1); });
+  s.at(std::numeric_limits<double>::infinity(), sink.act([&] { order.push_back(2); }));
+  s.at(1e300, sink.act([&] { order.push_back(1); }));
   // run() stops at kForever, short of both; step() fires them in order.
   EXPECT_EQ(s.run(), 0u);
   EXPECT_EQ(s.pending(), 2u);
@@ -244,9 +252,10 @@ TEST(Scheduler, InfiniteTimeStaysLegal) {
 
 TEST(Scheduler, RunCountsOnlyRealExecutions) {
   Scheduler s;
-  s.at(1.0, [] {});
-  const auto cancelled = s.at(2.0, [] {});
-  s.at(3.0, [] {});
+  ActionSink sink(s);
+  s.at(1.0, sink.act([] {}));
+  const auto cancelled = s.at(2.0, sink.act([] {}));
+  s.at(3.0, sink.act([] {}));
   EXPECT_TRUE(s.cancel(cancelled));
   // Cancelled events are skipped without being counted as executed.
   EXPECT_EQ(s.run(), 2u);
@@ -254,12 +263,13 @@ TEST(Scheduler, RunCountsOnlyRealExecutions) {
 
 TEST(Scheduler, EventsScheduledDuringRunExecute) {
   Scheduler s;
+  ActionSink sink(s);
   std::vector<int> order;
-  s.at(1.0, [&] {
+  s.at(1.0, sink.act([&] {
     order.push_back(1);
-    s.at(1.5, [&] { order.push_back(2); });
-  });
-  s.at(2.0, [&] { order.push_back(3); });
+    s.at(1.5, sink.act([&] { order.push_back(2); }));
+  }));
+  s.at(2.0, sink.act([&] { order.push_back(3); }));
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -268,8 +278,7 @@ TEST(Scheduler, EventsScheduledDuringRunExecute) {
 
 TEST(Scheduler, TypedEventsDispatchThroughSinkInOrder) {
   Scheduler s;
-  RecordingSink sink;
-  s.set_sink(&sink);
+  ActionSink sink(s);
   s.at(2.0, EngineEvent{.kind = EngineEvent::Kind::kArriveNext,
                         .channel = 7,
                         .aux = 1,
@@ -294,23 +303,21 @@ TEST(Scheduler, TypedEventWithoutSinkThrows) {
 }
 
 TEST(Scheduler, TypedEventWithKindNoneIsRejectedAtScheduleTime) {
-  // kNone discriminates callback nodes in the pool; a typed kNone event
-  // would mis-dispatch at fire time, so it must fail loudly up front.
+  // kNone means "unset": no sink has a handler for it, so it must fail
+  // loudly at the scheduling site, not at fire time.
   Scheduler s;
-  RecordingSink sink;
-  s.set_sink(&sink);
+  ActionSink sink(s);
   EXPECT_THROW(s.at(1.0, EngineEvent{}), std::invalid_argument);
   EXPECT_TRUE(s.empty());
 }
 
-TEST(Scheduler, TypedAndCallbackEventsInterleaveInTimeOrder) {
+TEST(Scheduler, ActionAndRecordedEventsInterleaveInTimeOrder) {
   Scheduler s;
-  RecordingSink sink;
-  s.set_sink(&sink);
+  ActionSink sink(s);
   std::vector<int> order;
-  s.at(1.0, [&] { order.push_back(1); });
+  s.at(1.0, sink.act([&] { order.push_back(1); }));
   s.at(2.0, EngineEvent{.kind = EngineEvent::Kind::kFlush});
-  s.at(3.0, [&] { order.push_back(3); });
+  s.at(3.0, sink.act([&] { order.push_back(3); }));
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
   ASSERT_EQ(sink.events.size(), 1u);
@@ -323,8 +330,9 @@ TEST(Scheduler, CancelAfterFireReturnsFalseAndKeepsAccounting) {
   // fired id, inserting a never-collected tombstone and corrupting
   // pending()/empty(). The generation counter now detects it.
   Scheduler s;
-  const auto fired = s.at(1.0, [] {});
-  s.at(2.0, [] {});
+  ActionSink sink(s);
+  const auto fired = s.at(1.0, sink.act([] {}));
+  s.at(2.0, sink.act([] {}));
   EXPECT_TRUE(s.step());  // fires the first event
   EXPECT_FALSE(s.cancel(fired));
   EXPECT_EQ(s.pending(), 1u);  // untouched by the stale cancel
@@ -336,11 +344,12 @@ TEST(Scheduler, CancelAfterFireReturnsFalseAndKeepsAccounting) {
 
 TEST(Scheduler, GenerationReuseInvalidatesOldIds) {
   Scheduler s;
+  ActionSink sink(s);
   int fired = 0;
-  const auto first = s.at(1.0, [&] { ++fired; });
+  const auto first = s.at(1.0, sink.act([&] { ++fired; }));
   EXPECT_TRUE(s.cancel(first));
   // The pool slot is recycled; the old id must not cancel the new event.
-  const auto second = s.at(1.0, [&] { ++fired; });
+  const auto second = s.at(1.0, sink.act([&] { ++fired; }));
   EXPECT_NE(first, second);
   EXPECT_FALSE(s.cancel(first));
   EXPECT_EQ(s.pending(), 1u);
@@ -351,8 +360,9 @@ TEST(Scheduler, GenerationReuseInvalidatesOldIds) {
 
 TEST(Scheduler, PendingIsExactAfterCancelsFromTheMiddle) {
   Scheduler s;
+  ActionSink sink(s);
   std::vector<Scheduler::EventId> ids;
-  for (int i = 0; i < 10; ++i) ids.push_back(s.at(1.0 + i, [] {}));
+  for (int i = 0; i < 10; ++i) ids.push_back(s.at(1.0 + i, sink.act([] {})));
   // Cancel from the middle of the heap; pending must track exactly.
   EXPECT_TRUE(s.cancel(ids[4]));
   EXPECT_TRUE(s.cancel(ids[9]));
@@ -364,9 +374,10 @@ TEST(Scheduler, PendingIsExactAfterCancelsFromTheMiddle) {
 
 TEST(Scheduler, CancelledTopNeverMovesClockOrCounts) {
   Scheduler s;
+  ActionSink sink(s);
   int fired = 0;
-  const auto early = s.at(1.0, [&] { ++fired; });
-  s.at(5.0, [&] { ++fired; });
+  const auto early = s.at(1.0, sink.act([&] { ++fired; }));
+  s.at(5.0, sink.act([&] { ++fired; }));
   EXPECT_TRUE(s.cancel(early));  // the top entry, now cancelled
   EXPECT_EQ(s.pending(), 1u);
   // run(until) stops short of the live event at 5: the cancelled top at 1
@@ -379,8 +390,8 @@ TEST(Scheduler, CancelledTopNeverMovesClockOrCounts) {
   EXPECT_EQ(s.now(), 5.0);
 
   // A cancelled top beyond `until` is no different.
-  const auto beyond = s.at(7.0, [&] { ++fired; });
-  s.at(9.0, [&] { ++fired; });
+  const auto beyond = s.at(7.0, sink.act([&] { ++fired; }));
+  s.at(9.0, sink.act([&] { ++fired; }));
   EXPECT_TRUE(s.cancel(beyond));
   EXPECT_EQ(s.run(8.0), 0u);
   EXPECT_EQ(s.now(), 5.0);
@@ -388,7 +399,7 @@ TEST(Scheduler, CancelledTopNeverMovesClockOrCounts) {
 
   // Only cancelled entries left: step() reports nothing to do.
   EXPECT_EQ(s.run(), 1u);
-  const auto last = s.at(12.0, [&] { ++fired; });
+  const auto last = s.at(12.0, sink.act([&] { ++fired; }));
   EXPECT_TRUE(s.cancel(last));
   EXPECT_TRUE(s.empty());
   EXPECT_FALSE(s.step());
@@ -402,22 +413,23 @@ TEST(Scheduler, SlotReusedAfterCancelFiresOnlyTheNewEvent) {
   // so its stale heap entry and the new live one coexist.
   const auto slot = [](Scheduler::EventId id) { return static_cast<std::uint32_t>(id); };
   Scheduler s;
+  ActionSink sink(s);
   std::vector<int> order;
   // Reused for an earlier time: the stale entry at 5 sits below it.
-  const auto late = s.at(5.0, [&] { order.push_back(-1); });
+  const auto late = s.at(5.0, sink.act([&] { order.push_back(-1); }));
   EXPECT_TRUE(s.cancel(late));
-  const auto early = s.at(1.0, [&] { order.push_back(1); });
+  const auto early = s.at(1.0, sink.act([&] { order.push_back(1); }));
   EXPECT_EQ(slot(early), slot(late));
-  s.at(3.0, [&] { order.push_back(3); });
+  s.at(3.0, sink.act([&] { order.push_back(3); }));
   EXPECT_EQ(s.pending(), 2u);
   EXPECT_EQ(s.run(), 2u);
   EXPECT_EQ(s.now(), 3.0);  // the stale entry at 5 never moved the clock
   EXPECT_TRUE(s.empty());
 
   // Reused for a later time: the stale entry at 4 reaches the top first.
-  const auto first = s.at(4.0, [&] { order.push_back(-2); });
+  const auto first = s.at(4.0, sink.act([&] { order.push_back(-2); }));
   EXPECT_TRUE(s.cancel(first));
-  const auto second = s.at(6.0, [&] { order.push_back(6); });
+  const auto second = s.at(6.0, sink.act([&] { order.push_back(6); }));
   EXPECT_EQ(slot(second), slot(first));
   EXPECT_FALSE(s.cancel(first));  // stale id, live slot: still rejected
   EXPECT_EQ(s.pending(), 1u);
@@ -434,6 +446,7 @@ TEST(Scheduler, DrainWithInterleavedCancelsIsDeterministic) {
   // ParallelRunner bit-identity guarantee).
   const auto run_once = [] {
     Scheduler s;
+    ActionSink sink(s);
     common::Rng rng(1234);
     std::vector<std::uint64_t> fired;
     std::vector<Scheduler::EventId> live;
@@ -442,7 +455,7 @@ TEST(Scheduler, DrainWithInterleavedCancelsIsDeterministic) {
         const double when = rng.uniform(0.0, 100.0);
         const std::uint64_t tag =
             static_cast<std::uint64_t>(round) * 100 + static_cast<std::uint64_t>(i);
-        live.push_back(s.at(when, [&fired, tag] { fired.push_back(tag); }));
+        live.push_back(s.at(when, sink.act([&fired, tag] { fired.push_back(tag); })));
       }
       // Cancel a random half of the still-known ids (stale ones no-op).
       for (int i = 0; i < 10; ++i) {
@@ -463,13 +476,14 @@ TEST(Scheduler, PoolStressReusesSlotsConsistently) {
   // ASan food for the free list: heavy schedule/cancel/fire churn over a
   // small time window forces constant slot recycling and heap growth.
   Scheduler s;
+  ActionSink sink(s);
   common::Rng rng(99);
   std::vector<Scheduler::EventId> ids;
   std::size_t fired = 0;
   std::size_t cancelled = 0;
   for (int round = 0; round < 200; ++round) {
     for (int i = 0; i < 50; ++i) {
-      ids.push_back(s.after(rng.uniform(0.0, 2.0), [&] { ++fired; }));
+      ids.push_back(s.after(rng.uniform(0.0, 2.0), sink.act([&] { ++fired; })));
     }
     for (int i = 0; i < 25; ++i) {
       if (s.cancel(ids[rng.index(ids.size())])) ++cancelled;
@@ -483,25 +497,16 @@ TEST(Scheduler, PoolStressReusesSlotsConsistently) {
 
 // ---- Differential check against a reference model -------------------------
 
-/// Records the seq payload (`a`) of every typed event it receives.
-class SeqSink final : public EventSink {
- public:
-  explicit SeqSink(std::vector<std::uint64_t>& fired) : fired_(fired) {}
-  void handle_event(const EngineEvent& event) override { fired_.push_back(event.a); }
-
- private:
-  std::vector<std::uint64_t>& fired_;
-};
-
 /// One seeded script of random operations, mirrored on a reference model:
 /// a std::set of live (when, seq) keys plus a map of live ids. After every
 /// operation the pop order, now(), pending() and empty() must match the
 /// model, as must every cancel() result and every run() count.
 void run_differential_script(std::uint64_t seed, int ops) {
   Scheduler s;
-  std::vector<std::uint64_t> fired;  // seqs, in firing order
-  SeqSink sink(fired);
-  s.set_sink(&sink);
+  ActionSink sink(s);
+  // Every event ends up here in firing order, its seq in `a`: a kFlush
+  // event is recorded by the sink, an action records itself.
+  const std::vector<EngineEvent>& fired = sink.events;
 
   common::Rng rng(seed);
   std::set<std::pair<double, std::uint64_t>> model;
@@ -547,7 +552,9 @@ void run_differential_script(std::uint64_t seed, int ops) {
         const EngineEvent event{.kind = EngineEvent::Kind::kFlush, .a = seq};
         id = relative ? s.after(delay, event) : s.at(when, event);
       } else {
-        const auto record = [&fired, seq] { fired.push_back(seq); };
+        const EngineEvent record = sink.act([&sink, seq] {
+          sink.events.push_back(EngineEvent{.kind = EngineEvent::Kind::kFlush, .a = seq});
+        });
         id = relative ? s.after(delay, record) : s.at(when, record);
       }
       const std::pair<double, std::uint64_t> key{target < now ? now : target, seq};
@@ -595,7 +602,7 @@ void run_differential_script(std::uint64_t seed, int ops) {
     }
     ASSERT_EQ(fired.size(), expected.size()) << where;
     for (; checked < expected.size(); ++checked) {
-      ASSERT_EQ(fired[checked], expected[checked]) << where;
+      ASSERT_EQ(fired[checked].a, expected[checked]) << where;
     }
     ASSERT_EQ(s.now(), now) << where;
     ASSERT_EQ(s.pending(), model.size()) << where;

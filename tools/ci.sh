@@ -18,8 +18,10 @@
 #      drift across refactors)
 #   2. default threads, epoch 0 -> must be byte-identical to the baseline
 #      (parallel runner AND the epoch-0 engine path change nothing)
-#   3. epoch 10 ms            -> batched mode completes with the engine's
-#      funds-conservation check intact
+#   3. epoch 10 ms            -> must be byte-identical to the frozen
+#      batched baseline in tests/data/fig7_epoch10_baseline (pins the
+#      batched path: epoch flushes, arrival buckets and the unwind walks
+#      folded into the settlement buffer)
 # The fig8 bench then runs its smoke configuration once, --threads 1, and
 # must reproduce tests/data/fig8_baseline byte for byte: at 3000 nodes every
 # path cache misses, so this pins the paths the shortest-path search returns
@@ -40,9 +42,9 @@
 # scheduler heap-order witness and the engine's queue-accounting witness
 # compiled in — the runtime backstop for what splicer_lint can only
 # approximate statically. The same build runs the fig7 smoke (--threads 1)
-# and diffs it against tests/data/fig7_baseline, so the witnesses also see
-# the real Splicer and Spider event streams: lazy cancels, drip timers and
-# the per-tau rate sweep.
+# at epoch 0 and at epoch 10 ms and diffs each against its frozen baseline,
+# so the witnesses also see the real Splicer and Spider event streams: lazy
+# cancels, drip timers, the per-tau rate sweep and batched flushes.
 #
 # Hostile-world gates (fault injection / channel churn / policy mutators):
 #   * the robustness bench runs its fast sweep — it exits nonzero itself if
@@ -112,7 +114,7 @@ python3 perfbench/smoke_test.py
 
 SMOKE_DIR="$BUILD_DIR/fig7-smoke"
 rm -rf "$SMOKE_DIR"
-mkdir -p "$SMOKE_DIR/baseline" "$SMOKE_DIR/epoch0"
+mkdir -p "$SMOKE_DIR/baseline" "$SMOKE_DIR/epoch0" "$SMOKE_DIR/epoch10"
 
 echo "CI: fig7 smoke, sequential epoch-0 baseline"
 SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/baseline" \
@@ -126,9 +128,10 @@ SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/epoch0" \
   "$BUILD_DIR/bench_fig7_small_scale" --settlement-epoch 0 > "$SMOKE_DIR/epoch0.txt"
 diff -r "$SMOKE_DIR/baseline" "$SMOKE_DIR/epoch0"
 
-echo "CI: fig7 smoke, batched settlement (epoch 10 ms)"
-SPLICER_BENCH_FAST=1 \
+echo "CI: fig7 smoke, batched settlement (epoch 10 ms) vs frozen baseline"
+SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/epoch10" \
   "$BUILD_DIR/bench_fig7_small_scale" --settlement-epoch 10 > "$SMOKE_DIR/epoch10.txt"
+diff -r tests/data/fig7_epoch10_baseline "$SMOKE_DIR/epoch10"
 
 echo "CI: fig8 smoke vs frozen baseline (large-scale path selection)"
 mkdir -p "$SMOKE_DIR/fig8"
@@ -214,6 +217,12 @@ mkdir -p "$SMOKE_DIR/audit-fig7"
 SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/audit-fig7" \
   "$AUDIT_DIR/bench_fig7_small_scale" --threads 1 > "$SMOKE_DIR/audit-fig7.txt"
 diff -r tests/data/fig7_baseline "$SMOKE_DIR/audit-fig7"
+echo "CI: fig7 epoch-10 smoke under SPLICER_AUDIT vs frozen baseline"
+mkdir -p "$SMOKE_DIR/audit-fig7-epoch10"
+SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/audit-fig7-epoch10" \
+  "$AUDIT_DIR/bench_fig7_small_scale" --threads 1 --settlement-epoch 10 \
+  > "$SMOKE_DIR/audit-fig7-epoch10.txt"
+diff -r tests/data/fig7_epoch10_baseline "$SMOKE_DIR/audit-fig7-epoch10"
 
 echo "CI: ThreadSanitizer smoke (thread pool, parallel experiment runner)"
 TSAN_DIR="$BUILD_DIR-tsan"

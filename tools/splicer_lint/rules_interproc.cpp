@@ -90,8 +90,6 @@ void check_hotpath_alloc(const CallGraph& graph, const SourceMap& sources,
   std::vector<int> roots;
   for (const int r : graph.find("Engine", "handle_event")) roots.push_back(r);
   for (const int r : graph.find_by_name("on_timer")) roots.push_back(r);
-  for (const int r : graph.find_by_name("run_protocol_tick"))
-    roots.push_back(r);
   if (roots.empty()) return;
   const CallGraph::Reach reach = graph.reachable_from(roots);
 

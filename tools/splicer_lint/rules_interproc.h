@@ -8,11 +8,11 @@
 //   hotpath-alloc  no new / make_unique / make_shared, no std container or
 //            std::string construction, and no reserve/resize in any
 //            function reachable from the hot event-loop entry points
-//            (Engine::handle_event, any on_timer override, the rate-tick
-//            entry run_protocol_tick) inside src/sim, src/routing,
-//            src/pcn. Pool internals, per-engine scratch and
-//            amortised-capacity sites carry a reasoned allow annotation
-//            for the hotpath-alloc rule.
+//            (Engine::handle_event, any on_timer override, which also
+//            runs the rate tick) inside src/sim, src/routing, src/pcn.
+//            Pool internals, per-engine scratch and amortised-capacity
+//            sites carry a reasoned allow annotation for the
+//            hotpath-alloc rule.
 //   slab-alias-escape  a reference/pointer bound to Engine slab state that
 //            is passed as an argument into a callee which transitively
 //            reaches a relocation point (send_tu / fail_payment) is
