@@ -82,7 +82,7 @@ class Graph {
   /// and shared only by copies — equal versions imply equal adjacency.
   /// Traversal kernels key flattened-adjacency caches on it so repeated
   /// queries against the same topology skip the per-node vector chase
-  /// (see shortest_path.cpp) without the graph owning any mutable cache.
+  /// (see search_scratch.h) without the graph owning any mutable cache.
   [[nodiscard]] std::uint64_t structure_version() const noexcept {
     return version_;
   }

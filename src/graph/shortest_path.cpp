@@ -3,60 +3,23 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
-#include <span>
 #include <stdexcept>
+
+#include "graph/search_scratch.h"
 
 namespace splicer::graph {
 
 namespace {
+using detail::BidirectionalScratch;
+using detail::CsrHalf;
+using detail::CsrView;
+using detail::HopLabel;
+using detail::csr_for;
+using detail::fresh_scratch;
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 using HeapItem = std::pair<double, NodeId>;  // (dist, node)
-
-/// Flattened adjacency (CSR) of one graph structure, rebuilt per
-/// structure_version(): the per-node vector-of-vectors chase was the
-/// dominant cache-miss source in the k-path relaxation loops. Halves are
-/// appended in exactly the adjacency order, so every traversal sees the
-/// identical neighbour sequence — bit-identical results. Thread-local with
-/// a small pool so a thread alternating between topologies (the raw,
-/// multi-star and single-star substrates of one scenario) doesn't thrash.
-struct CsrView {
-  std::uint64_t version = 0;  // 0 = empty slot (real versions start at 1)
-  std::uint64_t last_used = 0;
-  std::vector<std::uint32_t> offsets;  // node -> first half index
-  std::vector<HalfEdge> halves;
-
-  [[nodiscard]] std::span<const HalfEdge> out(NodeId n) const {
-    return {halves.data() + offsets[n], halves.data() + offsets[n + 1]};
-  }
-};
-
-const CsrView& csr_for(const Graph& g) {
-  static thread_local CsrView pool[4];
-  static thread_local std::uint64_t use_clock = 0;
-  const std::uint64_t version = g.structure_version();
-  CsrView* slot = nullptr;
-  for (auto& view : pool) {
-    if (view.version == version) {
-      view.last_used = ++use_clock;
-      return view;
-    }
-    if (slot == nullptr || view.last_used < slot->last_used) slot = &view;
-  }
-  slot->version = version;
-  slot->last_used = ++use_clock;
-  slot->offsets.assign(g.node_count() + 1, 0);
-  for (NodeId n = 0; n < g.node_count(); ++n) {
-    slot->offsets[n + 1] =
-        slot->offsets[n] + static_cast<std::uint32_t>(g.degree(n));
-  }
-  slot->halves.resize(slot->offsets[g.node_count()]);
-  for (NodeId n = 0; n < g.node_count(); ++n) {
-    std::uint32_t at = slot->offsets[n];
-    for (const auto& half : g.neighbors(n)) slot->halves[at++] = half;
-  }
-  return *slot;
-}
 
 /// Relaxation loop with the option checks hoisted to compile time — the
 /// k-path selectors call dijkstra thousands of times per run, and the
@@ -77,21 +40,21 @@ void dijkstra_loop(const Graph& g, const DijkstraOptions& options, NodeId goal,
     heap.pop_back();
     if (d > result.dist[u]) continue;  // stale entry
     if (u == goal) break;              // settled: its parent chain is final
-    for (const HalfEdge half : csr.out(u)) {
+    for (const CsrHalf half : csr.out(u)) {
       if constexpr (kDisabledEdges) {
-        if ((*options.disabled_edges)[half.edge]) continue;
+        if ((*options.disabled_edges)[half.edge()]) continue;
       }
       if constexpr (kDisabledNodes) {
         if ((*options.disabled_nodes)[half.to]) continue;
       }
       const double w =
-          kWeights ? (*options.weights)[half.edge] : g.edge(half.edge).weight;
+          kWeights ? (*options.weights)[half.edge()] : g.edge(half.edge()).weight;
       if (w < 0) throw std::invalid_argument("dijkstra: negative edge weight");
       const double nd = d + w;
       if (nd < result.dist[half.to]) {
         result.dist[half.to] = nd;
         result.parent[half.to] = u;
-        result.parent_edge[half.to] = half.edge;
+        result.parent_edge[half.to] = half.edge();
         heap.emplace_back(nd, half.to);
         std::push_heap(heap.begin(), heap.end(), later);
       }
@@ -147,36 +110,6 @@ void dijkstra_into(const Graph& g, NodeId src, NodeId goal,
     case 6: dijkstra_loop<true, true, false>(g, options, goal, heap, result); break;
     default: dijkstra_loop<true, true, true>(g, options, goal, heap, result); break;
   }
-}
-
-/// Hop labels of the bidirectional search, side 0 = forward from src,
-/// side 1 = backward from dst. A label is live only while its stamp equals
-/// the query's, so a query starts by bumping one counter instead of
-/// clearing O(n) entries.
-struct HopLabel {
-  std::uint32_t stamp[2] = {0, 0};
-  std::uint32_t hops[2] = {0, 0};
-};
-
-struct BidirectionalScratch {
-  std::vector<HopLabel> labels;
-  std::uint32_t stamp = 0;
-  std::vector<NodeId> frontier[2];
-  std::vector<NodeId> next;
-  std::vector<NodeId> meet;
-};
-
-/// The calling thread's scratch, with a fresh stamp and a label for every
-/// one of `node_count` nodes. Labels are zeroed only when the array grows
-/// or the stamp wraps (old stamps would then read as live).
-BidirectionalScratch& fresh_scratch(std::size_t node_count) {
-  static thread_local BidirectionalScratch s;
-  if (s.labels.size() < node_count) s.labels.resize(node_count);
-  if (++s.stamp == 0) {
-    std::fill(s.labels.begin(), s.labels.end(), HopLabel{});
-    s.stamp = 1;
-  }
-  return s;
 }
 
 /// Uniform-weight shortest path by bidirectional BFS, returning exactly the
@@ -236,8 +169,8 @@ std::optional<Path> bidirectional_bfs(const Graph& g, NodeId src, NodeId dst,
     const std::uint32_t hops = ++radius[side];
     s.next.clear();
     for (const NodeId u : s.frontier[side]) {
-      for (const HalfEdge half : csr.out(u)) {
-        if (edge_off(half.edge)) continue;
+      for (const CsrHalf half : csr.out(u)) {
+        if (edge_off(half.edge())) continue;
         const HopLabel& seen = labels[half.to];
         if (seen.stamp[side] == stamp) continue;
         if (node_off(half.to)) continue;
@@ -256,8 +189,8 @@ std::optional<Path> bidirectional_bfs(const Graph& g, NodeId src, NodeId dst,
   for (std::uint32_t j = radius[0]; j + 1 < d; ++j) {
     s.next.clear();
     for (const NodeId u : layer) {
-      for (const HalfEdge half : csr.out(u)) {
-        if (edge_off(half.edge)) continue;
+      for (const CsrHalf half : csr.out(u)) {
+        if (edge_off(half.edge())) continue;
         if (!has_label(half.to, 1, d - j - 1)) continue;
         if (labels[half.to].stamp[0] == stamp) continue;
         label(half.to, 0, j + 1);
@@ -277,10 +210,10 @@ std::optional<Path> bidirectional_bfs(const Graph& g, NodeId src, NodeId dst,
     const NodeId v = path.nodes[j + 1];
     NodeId parent = kInvalidNode;
     EdgeId parent_edge = kInvalidEdge;
-    for (const HalfEdge half : csr.out(v)) {
-      if (half.to < parent && !edge_off(half.edge) && has_label(half.to, 0, j)) {
+    for (const CsrHalf half : csr.out(v)) {
+      if (half.to < parent && !edge_off(half.edge()) && has_label(half.to, 0, j)) {
         parent = half.to;
-        parent_edge = half.edge;
+        parent_edge = half.edge();
       }
     }
     path.nodes[j] = parent;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <stdexcept>
 #include <tuple>
 
 namespace splicer::graph {
@@ -18,6 +19,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::optional<Path> widest_path(const Graph& g, NodeId src, NodeId dst,
                                 const WidestOptions& options) {
+  if (src >= g.node_count() || dst >= g.node_count()) {
+    throw std::out_of_range("widest_path: node out of range");
+  }
+  if (options.capacities != nullptr && options.capacities->size() != g.edge_count()) {
+    throw std::invalid_argument("widest_path: capacity override size != edge_count()");
+  }
   if (src == dst) {
     Path trivial;
     trivial.nodes.push_back(src);

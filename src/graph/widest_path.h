@@ -20,6 +20,8 @@ struct WidestOptions {
 
 /// Path maximising the minimum capacity along it (ties broken toward fewer
 /// hops). nullopt if dst unreachable. Dijkstra on the (max, min) semiring.
+/// Throws std::out_of_range if `src` or `dst` is not a node and
+/// std::invalid_argument if `capacities` is not one entry per edge.
 [[nodiscard]] std::optional<Path> widest_path(const Graph& g, NodeId src,
                                               NodeId dst,
                                               const WidestOptions& options = {});

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "common/rng.h"
 #include "graph/generators.h"
 
@@ -66,6 +69,23 @@ TEST(WidestPath, UnreachableIsNullopt) {
   Graph g(3);
   g.add_edge(0, 1);
   EXPECT_FALSE(widest_path(g, 0, 2).has_value());
+}
+
+TEST(WidestPath, RejectsNodeOutOfRange) {
+  Graph g(3);
+  g.add_edge(0, 1);
+  EXPECT_THROW(static_cast<void>(widest_path(g, 0, 3)), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(widest_path(g, 5, 5)), std::out_of_range);
+}
+
+TEST(WidestPath, RejectsMisSizedCapacityOverride) {
+  Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  const std::vector<double> caps{1.0};
+  WidestOptions options;
+  options.capacities = &caps;
+  EXPECT_THROW(static_cast<void>(widest_path(g, 0, 2, options)), std::invalid_argument);
 }
 
 TEST(WidestPath, TrivialPath) {

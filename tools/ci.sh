@@ -36,7 +36,10 @@
 # eviction check (a materialised and a streaming run must each hold fewer
 # payment states at once than they have payments), and an ASan+UBSan
 # build of the smoke-label ctest subset so eviction-order bugs surface as
-# hard errors instead of flakes.
+# hard errors instead of flakes. The same build runs the fig8 smoke
+# (--threads 1) and diffs it against its frozen baseline, so the graph
+# searches' label and residual indexing runs at 3,000 nodes under the
+# sanitizers.
 #
 # A SPLICER_AUDIT=ON build then runs the smoke-label suites with the
 # scheduler heap-order witness and the engine's queue-accounting witness
@@ -195,7 +198,7 @@ grep -q "hostile: fault-rate 2" "$SMOKE_DIR/hostile.txt"
 echo "CI: ASan+UBSan smoke subset"
 SAN_DIR="$BUILD_DIR-asan"
 cmake -B "$SAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DSPLICER_SANITIZE=ON -DSPLICER_BUILD_BENCH=OFF
+  -DSPLICER_SANITIZE=ON -DSPLICER_BUILD_BENCH=ON
 cmake --build "$SAN_DIR" -j "$JOBS"
 ctest --test-dir "$SAN_DIR" -L smoke --output-on-failure -j "$JOBS"
 # The hostile-world suites under the sanitizers: the churn close-sweep
@@ -203,6 +206,14 @@ ctest --test-dir "$SAN_DIR" -L smoke --output-on-failure -j "$JOBS"
 # read through a resolved LiveTu surfaces here as a hard error.
 ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
   -R 'scenario_mutator_test|robustness_test'
+# The fig8 smoke under the sanitizers: the stamped labels, lazy residuals
+# and flattened adjacency of the graph searches indexed at 3,000 nodes, on
+# the real Spider and Flash query streams, and still byte-identical.
+echo "CI: fig8 smoke under ASan+UBSan vs frozen baseline"
+mkdir -p "$SMOKE_DIR/asan-fig8"
+SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/asan-fig8" \
+  "$SAN_DIR/bench_fig8_large_scale" --threads 1 > "$SMOKE_DIR/asan-fig8.txt"
+diff -r tests/data/fig8_baseline "$SMOKE_DIR/asan-fig8"
 
 echo "CI: SPLICER_AUDIT smoke subset (dynamic contract witnesses)"
 AUDIT_DIR="$BUILD_DIR-audit"
