@@ -116,6 +116,22 @@ struct Path {
   }
 };
 
+/// Non-owning view of a path's nodes and edges, same shape as Path
+/// (`nodes` one longer than `edges`). Converts implicitly from an lvalue
+/// Path; binding one to a temporary Path is a compile error, since the view
+/// would dangle at the end of the statement.
+struct PathView {
+  std::span<const NodeId> nodes;
+  std::span<const EdgeId> edges;
+
+  PathView() = default;
+  PathView(std::span<const NodeId> path_nodes, std::span<const EdgeId> path_edges)
+      : nodes(path_nodes), edges(path_edges) {}
+  PathView(const Path& path)  // NOLINT(google-explicit-constructor)
+      : nodes(path.nodes), edges(path.edges) {}
+  PathView(Path&&) = delete;
+};
+
 /// Validates internal consistency (endpoints chain, edges exist); used by
 /// tests and debug assertions.
 [[nodiscard]] bool is_valid_path(const Graph& g, const Path& p);

@@ -1,6 +1,7 @@
 #include "routing/a2l_router.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "graph/metrics.h"
@@ -55,11 +56,12 @@ void A2lRouter::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) {
   const pcn::Payment& payment = state->payment;
   const auto& g = engine.network().topology();
 
-  graph::Path path;
-  path.nodes = {payment.sender, hub_, payment.receiver};
-  path.edges = {g.find_edge(payment.sender, hub_),
-                g.find_edge(hub_, payment.receiver)};
-  path.length = 2.0;
+  // The two-hop route lives on the stack: send_tu copies it.
+  const std::array<NodeId, 3> nodes{payment.sender, hub_, payment.receiver};
+  const std::array<ChannelId, 2> edges{g.find_edge(payment.sender, hub_),
+                                       g.find_edge(hub_, payment.receiver)};
+  const std::array<Amount, 2> hop_amounts{payment.value, payment.value};
+  const graph::PathView path(nodes, edges);
 
   // Hostile-world: the tumbler has exactly one route; if a spoke channel
   // closed, an endpoint (or the hub itself) is offline, or the two-hop
@@ -73,10 +75,10 @@ void A2lRouter::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) {
   TransactionUnit tu;
   tu.payment = payment.id;
   tu.value = payment.value;
-  tu.path = std::move(path);
-  tu.hop_amounts.assign(2, payment.value);
+  tu.path = path;
+  tu.hop_amounts = hop_amounts;
   tu.deadline = payment.deadline;
-  engine.send_tu(std::move(tu));
+  engine.send_tu(tu);
 }
 
 void A2lRouter::on_tu_failed(Engine& engine, const TransactionUnit& tu,

@@ -86,12 +86,9 @@ void Engine::handle_event(const sim::EngineEvent& event) {
     case Kind::kArriveNext:
       arrive_next(static_cast<TuId>(event.a));
       break;
-    case Kind::kArrivalBucket: {
-      const auto node =
-          arrival_buckets_.extract(static_cast<std::int64_t>(event.a));
-      for (const TuId tu : node.mapped()) arrive_next(tu);
+    case Kind::kArrivalBucket:
+      fire_arrival_bucket(static_cast<std::int64_t>(event.a));
       break;
-    }
     case Kind::kReleaseTu:
       release_live_tu(static_cast<TuId>(event.a));
       break;
@@ -292,25 +289,26 @@ void Engine::on_channel_close(ChannelId channel) {
   //
   // Drain both waiting queues first: every queued TU fails with
   // kChannelClosed, releasing its queued_value and cancelling its mark
-  // event — drain_queue's stale bookkeeping minus the retry.
+  // event — drain_queue's stale bookkeeping minus the retry. A failure
+  // callback cannot reach these queues: attempt_hop refuses any retry onto
+  // this channel before it could enqueue (and the indexed walk would still
+  // fail an entry appended mid-way).
   for (const pcn::Direction d :
        {pcn::Direction::kForward, pcn::Direction::kBackward}) {
     auto& ds = directed(channel, d);
-    while (!ds.queue.empty()) {
-      const QueuedTu entry = ds.queue.front();
-      ds.queue.erase(ds.queue.begin());
+    for (std::size_t i = 0; i < ds.queue.size(); ++i) {
+      const QueuedTu entry = ds.queue[i];
       ds.queued_value -= entry.amount;
       scheduler_.cancel(entry.mark_event);
       fail_tu(entry.id, FailReason::kChannelClosed);
     }
+    ds.queue.clear();
     check_queue_invariant(channel, d);
   }
   // Then refund every unresolved resident TU holding a lock on the closed
   // channel. Collect ids before failing any: batched-mode fail_tu erases
   // from live_ and failure callbacks may send new TUs (slab relocation), so
   // the traversal must see no mutation.
-  // SPLICER_LINT_ALLOW(hotpath-alloc): churn events are Poisson-rare (zero
-  // in benign runs) — never per-TU or per-hop work.
   std::vector<TuId> victims;
   live_.for_each([&](TuId id, const LiveTu& live) {
     if (live.resolved) return;
@@ -387,6 +385,7 @@ void Engine::release_live_tu(TuId id) {
   const LiveTu* live = live_.find(id);
   if (live == nullptr) return;
   const PaymentId payment = live->tu.payment;
+  free_route_slots_.push_back(live->route_slot);
   live_.erase(id);
   if (auto* state = state_or_orphan(payment)) {
     if (state->live_tus > 0) --state->live_tus;
@@ -405,21 +404,23 @@ void Engine::maybe_evict(PaymentId id) {
   states_.erase(id);
 }
 
-TuId Engine::send_tu(TransactionUnit tu) {
+TuId Engine::send_tu(const TransactionUnit& tu) {
   if (in_forward_hook_) {
     // The on_tu_forwarded hook holds a reference into live_; inserting a
     // new TU could relocate the slab under it (Router::on_tu_forwarded
     // documents the contract — this makes a violation a hard error).
     throw std::logic_error("Engine::send_tu: called from on_tu_forwarded");
   }
-  if (tu.path.edges.empty() || tu.hop_amounts.size() != tu.path.edges.size()) {
+  if (tu.path.edges.empty() || tu.path.nodes.size() != tu.path.edges.size() + 1 ||
+      tu.hop_amounts.size() != tu.path.edges.size()) {
     throw std::invalid_argument("Engine::send_tu: malformed TU");
   }
   if (tu.value <= 0) throw std::invalid_argument("Engine::send_tu: value <= 0");
-  tu.id = next_tu_id_++;
-  tu.next_hop = 0;
-  tu.created_at = scheduler_.now();
-  const TuId id = tu.id;
+  LiveTu live{.tu = tu};
+  live.tu.id = next_tu_id_++;
+  live.tu.next_hop = 0;
+  live.tu.created_at = scheduler_.now();
+  const TuId id = live.tu.id;
 
   // Orphan-tolerant: a router may keep dispatching splits of a payment
   // that a sibling TU's synchronous failure just resolved and evicted. The
@@ -431,10 +432,30 @@ TuId Engine::send_tu(TransactionUnit tu) {
     ++state->tus_launched;
   }
 
-  live_.emplace(id, LiveTu{.tu = std::move(tu)});
+  live.route_slot = store_route(live.tu);
+  live_.emplace(id, live);
   ++metrics_.tus_sent;
   attempt_hop(id);
   return id;
+}
+
+std::uint32_t Engine::store_route(TransactionUnit& tu) {
+  std::uint32_t slot;
+  if (free_route_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(route_slots_.size());
+    route_slots_.emplace_back();
+  } else {
+    slot = free_route_slots_.back();
+    free_route_slots_.pop_back();
+  }
+  // A free slot is viewed by no TU, and the source views never alias it.
+  RouteSlot& route = route_slots_[slot];
+  route.nodes.assign(tu.path.nodes.begin(), tu.path.nodes.end());
+  route.edges.assign(tu.path.edges.begin(), tu.path.edges.end());
+  route.hop_amounts.assign(tu.hop_amounts.begin(), tu.hop_amounts.end());
+  tu.path = graph::PathView(route.nodes, route.edges);
+  tu.hop_amounts = route.hop_amounts;
+  return slot;
 }
 
 PaymentState* Engine::state_or_orphan(PaymentId id) {
@@ -469,8 +490,8 @@ void Engine::attempt_hop(TuId id) {
   LiveTu* live_ptr = live_.find(id);
   if (live_ptr == nullptr) return;  // already resolved and released
   auto& live = *live_ptr;
-  // Per-hop mode keeps a resolved TU's live entry until kReleaseTu with its
-  // tu vectors vacated; a pending retry event must not touch it.
+  // Per-hop mode keeps a resolved TU's live entry until kReleaseTu; a
+  // pending retry event must not touch it.
   if (live.resolved) return;
   auto& tu = live.tu;
   const std::size_t hop = tu.next_hop;
@@ -531,7 +552,7 @@ void Engine::attempt_hop(TuId id) {
     }
     return;
   }
-  live.locked_hops = hop + 1;
+  live.locked_hops = static_cast<std::uint32_t>(hop + 1);
   ds.next_free = std::max(scheduler_.now(), ds.next_free) +
                  common::to_tokens(amount) / config_.process_rate_tokens_per_s;
   ++metrics_.messages.data_hops;
@@ -554,18 +575,56 @@ void Engine::schedule_hop_arrival(TuId id) {
   // Batched mode: a flush forwards whole queues at one boundary, so many
   // TUs arrive at the identical instant — share one event per tick-
   // quantised timestamp. Arrival order inside a bucket is insertion order,
-  // i.e. the order the separate events would have fired in.
+  // i.e. the order the separate events would have fired in. A firing
+  // bucket is no longer pending, so with a zero hop delay a TU it forwards
+  // opens a new bucket on the same tick (and a new event after it).
   const double when = scheduler_.now() + config_.hop_delay_s;
-  const std::int64_t key = arrival_tick(when);
-  const auto [it, inserted] = arrival_buckets_.try_emplace(key);
-  it->second.push_back(id);
-  if (inserted) {
-    scheduler_.at(when,
-                  sim::EngineEvent{
-                      .kind = sim::EngineEvent::Kind::kArrivalBucket,
-                      .channel = 0,
-                      .aux = 0,
-                      .a = static_cast<std::uint64_t>(key)});
+  const std::int64_t tick = arrival_tick(when);
+  arrival_tus_.push_back(id);
+  if (arrival_buckets_head_ < arrival_buckets_.size() &&
+      arrival_buckets_.back().tick == tick) {
+    ++arrival_buckets_.back().size;
+    return;
+  }
+  arrival_buckets_.push_back(ArrivalBucket{.tick = tick, .size = 1});
+  scheduler_.at(when, sim::EngineEvent{
+                          .kind = sim::EngineEvent::Kind::kArrivalBucket,
+                          .channel = 0,
+                          .aux = 0,
+                          .a = static_cast<std::uint64_t>(tick)});
+}
+
+void Engine::fire_arrival_bucket(std::int64_t tick) {
+  // Buckets fire in the order they were opened, so this event's bucket is
+  // the oldest pending one. Pop it before any TU moves: the arrivals below
+  // may append new ids and buckets (and reallocate arrival_tus_, hence the
+  // indexed reads).
+  const ArrivalBucket bucket = arrival_buckets_[arrival_buckets_head_++];
+  if (bucket.tick != tick) {
+    throw std::logic_error("Engine: arrival buckets fired out of order");
+  }
+  const std::size_t first = arrival_tus_head_;
+  arrival_tus_head_ += bucket.size;
+  for (std::size_t i = first; i < first + bucket.size; ++i) {
+    arrive_next(arrival_tus_[i]);
+  }
+  // Reclaim the consumed prefixes: all at once when nothing is pending,
+  // otherwise once they make up half the storage, so both vectors stay
+  // near the peak pending size without a ring's index arithmetic.
+  if (arrival_buckets_head_ == arrival_buckets_.size()) {
+    arrival_buckets_.clear();
+    arrival_buckets_head_ = 0;
+    arrival_tus_.clear();
+    arrival_tus_head_ = 0;
+  } else if (2 * arrival_tus_head_ >= arrival_tus_.size()) {
+    arrival_buckets_.erase(
+        arrival_buckets_.begin(),
+        arrival_buckets_.begin() + static_cast<std::ptrdiff_t>(arrival_buckets_head_));
+    arrival_buckets_head_ = 0;
+    arrival_tus_.erase(
+        arrival_tus_.begin(),
+        arrival_tus_.begin() + static_cast<std::ptrdiff_t>(arrival_tus_head_));
+    arrival_tus_head_ = 0;
   }
 }
 
@@ -608,13 +667,11 @@ void Engine::deliver(TuId id) {
     }
   }
   unwind(id, live, /*settle=*/true);
-  // Hand the router a moved-out TU instead of a deep copy (path +
-  // hop_amounts vectors, once per delivered TU). The live entry is only
-  // consulted for scalar fields afterwards (tu.payment at release), and
-  // scalars survive a memberwise move; a resolved TU can hold no queue
-  // entry, so nothing reads the vacated vectors.
-  const TransactionUnit tu_copy = std::move(live.tu);
-  router_.on_tu_delivered(*this, tu_copy);
+  // The hook gets a copy of the record: it may send TUs, and a slab grow
+  // would move `live`. The copy's views stay valid through the hook, since
+  // the route slot is only freed at release, after the hook returns.
+  const TransactionUnit tu = live.tu;
+  router_.on_tu_delivered(*this, tu);
   // Batched mode settles from the epoch buffer, so nothing references the
   // live entry anymore; per-hop mode releases it after the last ack event.
   if (config_.settlement_epoch_s > 0) release_live_tu(id);
@@ -635,12 +692,10 @@ void Engine::fail_tu(TuId id, FailReason reason) {
   ++metrics_.tu_fail_reasons[static_cast<std::size_t>(reason)];
   if (reason == FailReason::kMarkedCongested) ++metrics_.tus_marked;
   unwind(id, *live, /*settle=*/false);
-  // Moved, not copied — unwind has already folded every locked hop, and the
-  // live entry only needs scalar fields afterwards (see deliver()). unwind
-  // schedules events but never inserts into live_, so `live` stays valid
-  // across the call.
-  const TransactionUnit tu_copy = std::move(live->tu);
-  router_.on_tu_failed(*this, tu_copy, reason);
+  // A copy for the hook, as in deliver(). unwind schedules events but never
+  // inserts into live_, so `live` stays valid up to here.
+  const TransactionUnit tu = live->tu;
+  router_.on_tu_failed(*this, tu, reason);
   if (config_.settlement_epoch_s > 0) release_live_tu(id);
 }
 
@@ -826,18 +881,15 @@ void Engine::schedule_flush() {
 }
 
 void Engine::flush_settlements(bool drain) {
-  // SPLICER_LINT_ALLOW(hotpath-alloc): swap-steal — an empty vector
-  // allocates nothing; the flush runs once per settlement epoch, not per TU.
-  std::vector<std::size_t> dirty;
-  dirty.swap(batcher_.dirty);
   // Two passes: apply every fund movement first, then retry the queues, so
   // a drained TU can use funds applied by a later entry of the same flush.
   // Queue retries during the drain pass can refund into the batcher again;
-  // the totals were reset in the first pass, so those land in a new epoch.
-  // SPLICER_LINT_ALLOW(hotpath-alloc): per-epoch flush scratch — grows with
-  // this epoch's settled channels, once per settlement boundary.
-  std::vector<std::pair<ChannelId, pcn::Direction>> to_drain;
-  for (const std::size_t idx : dirty) {
+  // the totals and the dirty list were reset in the first pass, so those
+  // land in a new epoch. Every list below keeps its capacity for the next
+  // flush.
+  auto& to_drain = batcher_.to_drain;
+  to_drain.clear();
+  for (const std::size_t idx : batcher_.dirty) {
     auto& p = batcher_.pending[idx];
     const ChannelId channel = channel_of(idx);
     const pcn::Direction d = direction_of(idx);
@@ -854,27 +906,26 @@ void Engine::flush_settlements(bool drain) {
     }
     p = PendingSettlement{};
   }
+  batcher_.dirty.clear();
   if (!drain) return;
+  // Nothing a drain reaches runs a flush, so to_drain is stable here.
   for (const auto& [channel, dir] : to_drain) drain_queue(channel, dir);
 
   // Wake every rate-blocked queue; drains that are still blocked (or block
-  // again) re-register for the next flush via schedule_drain.
-  // SPLICER_LINT_ALLOW(hotpath-alloc): swap-steal — an empty vector
-  // allocates nothing; once per settlement epoch.
-  std::vector<std::size_t> blocked;
-  blocked.swap(batcher_.blocked_queues);
-  for (const std::size_t idx : blocked) {
+  // again) re-register for the next flush via schedule_drain, into the
+  // emptied blocked_queues.
+  batcher_.retry_queues.swap(batcher_.blocked_queues);
+  for (const std::size_t idx : batcher_.retry_queues) {
     directed_[idx].drain_pending = false;
     drain_queue(channel_of(idx), direction_of(idx));
   }
+  batcher_.retry_queues.clear();
 
   // Retry atomic-mode TUs that were waiting on a processing slot; a retry
   // that is still blocked re-defers itself onto the next flush.
-  // SPLICER_LINT_ALLOW(hotpath-alloc): swap-steal — an empty vector
-  // allocates nothing; once per settlement epoch.
-  std::vector<TuId> deferred;
-  deferred.swap(batcher_.deferred_tus);
-  for (const TuId id : deferred) attempt_hop(id);
+  batcher_.retry_tus.swap(batcher_.deferred_tus);
+  for (const TuId id : batcher_.retry_tus) attempt_hop(id);
+  batcher_.retry_tus.clear();
 }
 
 #ifdef SPLICER_AUDIT
@@ -884,8 +935,8 @@ void Engine::check_queue_invariant(ChannelId channel, pcn::Direction d) const {
   for (const auto& entry : ds.queue) {
     sum += entry.amount;
     const LiveTu* live = live_.find(entry.id);
-    // A resolved TU's entry is stale (drain_queue drops it) and its vectors
-    // were moved out at resolution: only the charged amount is left to check.
+    // A resolved TU's entry is stale (drain_queue drops it): only the
+    // charged amount is left to check.
     if (live != nullptr && !live->resolved &&
         live->tu.hop_amounts[live->tu.next_hop] != entry.amount) {
       throw std::logic_error(

@@ -20,7 +20,8 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/dense_id_map.h"
@@ -195,9 +196,12 @@ class Engine : private sim::EventSink {
   [[nodiscard]] EngineMetrics& metrics() noexcept { return metrics_; }
 
   /// Dispatches a TU (path and hop_amounts must be populated; next_hop 0).
-  /// Returns the TU id. The engine owns the TU from here on and reports
-  /// back through Router::on_tu_delivered / on_tu_failed.
-  TuId send_tu(TransactionUnit tu);
+  /// Returns the TU id. The path and hop amounts are copied into recycled
+  /// engine storage before any router hook runs, so the views may point at
+  /// router scratch that the caller reuses right after (or, inside a nested
+  /// hook, before) this returns. The engine owns the TU from here on and
+  /// reports back through Router::on_tu_delivered / on_tu_failed.
+  TuId send_tu(const TransactionUnit& tu);
 
   /// nullptr when the payment is unknown or resolved and evicted (treat
   /// as inactive). A live TU of the payment pins its state.
@@ -254,16 +258,37 @@ class Engine : private sim::EventSink {
   [[nodiscard]] Amount queue_amount(ChannelId channel, pcn::Direction d) const;
 
  private:
+  /// A live TU: a small trivially copyable record. Its `tu.path` and
+  /// `tu.hop_amounts` view route_slots_[route_slot], which the TU holds
+  /// from send_tu until release_live_tu.
   struct LiveTu {
     TransactionUnit tu;
+    std::uint32_t route_slot = 0;
     /// Path edges [0, locked_hops) hold a lock: attempt_hop locks only
     /// tu.next_hop, in path order, and nothing is released before the TU
     /// resolves, so the locked hops are always a prefix.
-    std::size_t locked_hops = 0;
+    std::uint32_t locked_hops = 0;
     /// deliver()/fail_tu() ran: in per-hop mode the entry outlives its
     /// resolution until the ack-chain kReleaseTu fires, and the channel-
     /// close sweep (and any late kMark) must not fail it a second time.
     bool resolved = false;
+  };
+  static_assert(std::is_trivially_copyable_v<LiveTu>);
+  /// Engine-owned copy of one live TU's route. Slots are recycled through
+  /// free_route_slots_ and never freed; their vectors keep their capacity,
+  /// so once the slots have grown to the run's path lengths, send_tu copies
+  /// without allocating. route_slots_ is a deque, so adding a slot never
+  /// moves another: a view stays valid for as long as its TU holds the slot.
+  struct RouteSlot {
+    std::vector<NodeId> nodes;
+    std::vector<ChannelId> edges;
+    std::vector<Amount> hop_amounts;
+  };
+  /// Batched-mode arrival bucket: the next `size` ids of arrival_tus_ all
+  /// arrive on nanosecond tick `tick`.
+  struct ArrivalBucket {
+    std::int64_t tick = 0;
+    std::size_t size = 0;
   };
   struct QueuedTu {
     TuId id;
@@ -272,7 +297,10 @@ class Engine : private sim::EventSink {
     sim::Scheduler::EventId mark_event;
   };
   struct DirectedState {
-    std::deque<QueuedTu> queue;
+    // A vector, not a deque: libstdc++'s deque allocates on construction,
+    // two blocks for every directed channel of every run. LIFO (the
+    // default) serves from the back.
+    std::vector<QueuedTu> queue;
     Amount queued_value = 0;
     double next_free = 0.0;     // processing-rate token bucket
     bool drain_pending = false; // a drain wake-up is already scheduled
@@ -289,11 +317,17 @@ class Engine : private sim::EventSink {
   /// channel plus the dirty set, drained by one flush event per epoch. The
   /// same flush also wakes rate-blocked queues and deferred atomic-mode
   /// TUs, so one recurring event replaces per-direction and per-TU wake-ups.
+  /// Every vector keeps its capacity across epochs. The flush walks the
+  /// `retry_*` twins of blocked_queues and deferred_tus (swapped in), since
+  /// its retries may append to the live lists for the next flush.
   struct SettlementBatcher {
     std::vector<PendingSettlement> pending;  // index: 2*channel + dir
     std::vector<std::size_t> dirty;          // indices with nonzero pending
     std::vector<std::size_t> blocked_queues; // rate-blocked directed indices
     std::vector<TuId> deferred_tus;          // atomic TUs waiting on r_process
+    std::vector<std::pair<ChannelId, pcn::Direction>> to_drain;
+    std::vector<std::size_t> retry_queues;
+    std::vector<TuId> retry_tus;
     bool flush_scheduled = false;
   };
 
@@ -312,6 +346,9 @@ class Engine : private sim::EventSink {
   /// same-instant arrivals (common: a flush forwards many TUs at one
   /// boundary) into a single shared scheduler event.
   void schedule_hop_arrival(TuId id);
+  /// Fires the oldest arrival bucket, whose kArrivalBucket event carries
+  /// `tick`; throws std::logic_error if the two disagree.
+  void fire_arrival_bucket(std::int64_t tick);
   void arrive_next(TuId id);
   void deliver(TuId id);
   void fail_tu(TuId id, FailReason reason);
@@ -336,9 +373,12 @@ class Engine : private sim::EventSink {
   /// Folds the payment's final outcome (latency, TU count, partial value)
   /// into the streaming accumulators. Called exactly once, at resolution.
   void fold_resolution(const PaymentState& state);
-  /// Erases the live TU entry, drops its payment's live_tus pin and evicts
-  /// the state when that was the last reference. Replaces every direct
-  /// live_.erase() at TU release sites.
+  /// Copies the TU's route into a free route slot (growing the pool when
+  /// none is free), points the TU's views at it and returns the slot.
+  std::uint32_t store_route(TransactionUnit& tu);
+  /// Erases the live TU entry, returns its route slot, drops its payment's
+  /// live_tus pin and evicts the state when that was the last reference.
+  /// Replaces every direct live_.erase() at TU release sites.
   void release_live_tu(TuId id);
   /// Once the payment is resolved with no live TU, notifies the router
   /// (Router::on_payment_resolved) and erases the state.
@@ -432,12 +472,20 @@ class Engine : private sim::EventSink {
   std::vector<std::optional<pcn::MutationEvent>> staged_mutations_;
   std::vector<std::uint32_t> node_down_depth_;
   std::vector<std::uint32_t> channel_close_depth_;
+  std::deque<RouteSlot> route_slots_;
+  std::vector<std::uint32_t> free_route_slots_;
   // Batched mode: TUs arriving at the same instant share one event, keyed
-  // by the tick-quantised arrival time (never by a raw double).
-  // SPLICER_LINT_ALLOW(unordered-decl): keyed try_emplace/extract only; the
-  // firing order of buckets comes from the scheduler heap, and TUs within a
-  // bucket keep their deterministic insertion order in the vector.
-  std::unordered_map<std::int64_t, std::vector<TuId>> arrival_buckets_;
+  // by the tick-quantised arrival time (never by a raw double). A bucket's
+  // tick is that of now + hop_delay_s at its first insert, and now never
+  // decreases, so no tick is ever below a pending bucket's: buckets fire in
+  // the order they were opened and a FIFO holds them. Only the newest
+  // pending bucket can take a new id. The buckets from arrival_buckets_head_
+  // on are pending; their ids are arrival_tus_ from arrival_tus_head_ on, in
+  // bucket order, each bucket's in insertion order.
+  std::vector<ArrivalBucket> arrival_buckets_;
+  std::size_t arrival_buckets_head_ = 0;
+  std::vector<TuId> arrival_tus_;
+  std::size_t arrival_tus_head_ = 0;
   TuId next_tu_id_ = 1;
   Amount initial_funds_ = 0;
 

@@ -53,14 +53,16 @@ void FlashRouter::send_mice(Engine& engine, const pcn::Payment& payment,
   }
   const auto& path =
       *mice_candidates_[engine.rng().index(mice_candidates_.size())];
+  // Views of the path cache and the hop-amount scratch: send_tu copies both.
+  hop_amounts_.assign(path.edges.size(), value);
   TransactionUnit tu;
   tu.payment = payment.id;
   tu.value = value;
   tu.path = path;
-  tu.hop_amounts.assign(path.edges.size(), value);
+  tu.hop_amounts = hop_amounts_;
   tu.deadline = payment.deadline;
   ++progress.outstanding;
-  engine.send_tu(std::move(tu));
+  engine.send_tu(tu);
 }
 
 void FlashRouter::send_elephant(Engine& engine, const pcn::Payment& payment,
@@ -123,14 +125,17 @@ void FlashRouter::send_elephant(Engine& engine, const pcn::Payment& payment,
 
   for (std::size_t i = 0; i < flow.paths.size(); ++i) {
     if (shares[i] <= 0) continue;
+    // A split's hook may send a retry that refills hop_amounts_, so the
+    // scratch is refilled per split; send_tu copies it and the path.
+    hop_amounts_.assign(flow.paths[i].path.edges.size(), shares[i]);
     TransactionUnit tu;
     tu.payment = payment.id;
     tu.value = shares[i];
     tu.path = flow.paths[i].path;
-    tu.hop_amounts.assign(tu.path.edges.size(), shares[i]);
+    tu.hop_amounts = hop_amounts_;
     tu.deadline = payment.deadline;
     ++progress.outstanding;
-    engine.send_tu(std::move(tu));
+    engine.send_tu(tu);
     // A split that fails inside send_tu can resolve the payment, and
     // on_payment_resolved then erases the entry `progress` refers to:
     // the payment is over, so send no further splits.

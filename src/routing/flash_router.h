@@ -78,6 +78,9 @@ class FlashRouter final : public Router {
   double snapshot_time_ = -1.0;
   // Scratch for hostile-world mice-path filtering (cleared per payment).
   std::vector<const graph::Path*> mice_candidates_;
+  // The sent TU's hop amounts, refilled before each send_tu (which copies
+  // them).
+  std::vector<Amount> hop_amounts_;
 };
 
 }  // namespace splicer::routing

@@ -1,7 +1,10 @@
 #include "routing/landmark_router.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <optional>
 #include <queue>
+#include <utility>
 
 #include "graph/metrics.h"
 #include "routing/path_filter.h"
@@ -37,18 +40,17 @@ void LandmarkRouter::on_start(Engine& engine) {
   }
 }
 
-std::optional<graph::Path> LandmarkRouter::via_landmark(const Engine& engine,
-                                                        std::size_t landmark_index,
-                                                        NodeId from, NodeId to) const {
-  (void)engine;
+bool LandmarkRouter::via_landmark(std::size_t landmark_index, NodeId from,
+                                  NodeId to, graph::Path& path) const {
   const auto& parent = parent_[landmark_index];
   const auto& parent_edge = parent_edge_[landmark_index];
   const NodeId landmark = landmarks_[landmark_index];
   if (parent[from] == graph::kInvalidNode || parent[to] == graph::kInvalidNode) {
-    return std::nullopt;
+    return false;
   }
+  path.nodes.clear();
+  path.edges.clear();
   // from -> landmark: walk up the BFS tree.
-  graph::Path path;
   NodeId cur = from;
   path.nodes.push_back(cur);
   while (cur != landmark) {
@@ -56,82 +58,87 @@ std::optional<graph::Path> LandmarkRouter::via_landmark(const Engine& engine,
     cur = parent[cur];
     path.nodes.push_back(cur);
   }
-  // landmark -> to: walk up from `to`, then reverse the segment.
-  std::vector<NodeId> down_nodes;
-  std::vector<graph::EdgeId> down_edges;
+  // landmark -> to: walk up from `to` onto the end, then reverse that
+  // segment.
+  const auto node_mark = static_cast<std::ptrdiff_t>(path.nodes.size());
+  const auto edge_mark = static_cast<std::ptrdiff_t>(path.edges.size());
   cur = to;
   while (cur != landmark) {
-    down_nodes.push_back(cur);
-    down_edges.push_back(parent_edge[cur]);
+    path.nodes.push_back(cur);
+    path.edges.push_back(parent_edge[cur]);
     cur = parent[cur];
   }
-  for (std::size_t i = down_nodes.size(); i-- > 0;) {
-    path.edges.push_back(down_edges[i]);
-    path.nodes.push_back(down_nodes[i]);
-  }
-  path.length = static_cast<double>(path.edges.size());
-  return prune_loops(path);
+  std::reverse(path.nodes.begin() + node_mark, path.nodes.end());
+  std::reverse(path.edges.begin() + edge_mark, path.edges.end());
+  path = prune_loops(std::move(path));
+  return true;
 }
 
-graph::Path LandmarkRouter::prune_loops(const graph::Path& path) {
+graph::Path LandmarkRouter::prune_loops(graph::Path path) {
   // Landmark paths are a few dozen nodes at most, so a linear scan of the
-  // pruned prefix beats a per-call hash map (called once per candidate
-  // path per payment — hot enough that the map allocation showed up).
-  graph::Path pruned;
-  pruned.nodes.reserve(path.nodes.size());
-  pruned.edges.reserve(path.edges.size());
+  // kept prefix beats a per-call hash map. The kept prefix [0, kept) never
+  // overtakes the read position, so every node and edge is read before
+  // anything overwrites it.
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < path.nodes.size(); ++i) {
     const NodeId node = path.nodes[i];
-    const auto it = std::find(pruned.nodes.begin(), pruned.nodes.end(), node);
-    if (it != pruned.nodes.end()) {
+    const auto begin = path.nodes.begin();
+    const auto end = begin + static_cast<std::ptrdiff_t>(kept);
+    const auto it = std::find(begin, end, node);
+    if (it != end) {
       // Cut the cycle: drop everything after the first occurrence.
-      const auto keep = static_cast<std::size_t>(it - pruned.nodes.begin());
-      pruned.nodes.resize(keep + 1);
-      pruned.edges.resize(keep);
+      kept = static_cast<std::size_t>(it - begin) + 1;
     } else {
-      if (!pruned.nodes.empty()) pruned.edges.push_back(path.edges[i - 1]);
-      pruned.nodes.push_back(node);
+      if (kept > 0) path.edges[kept - 1] = path.edges[i - 1];
+      path.nodes[kept++] = node;
     }
   }
-  pruned.length = static_cast<double>(pruned.edges.size());
-  return pruned;
+  path.nodes.resize(kept);
+  path.edges.resize(kept > 0 ? kept - 1 : 0);
+  path.length = static_cast<double>(path.edges.size());
+  return path;
 }
 
 void LandmarkRouter::on_payment(Engine& engine, const pcn::Payment& payment) {
-  std::vector<graph::Path> paths;
+  // The payment's paths are candidates_[0, count).
+  std::size_t count = 0;
   // Hostile-world filter: a landmark path through a closed channel, an
   // offline node or past the timelock budget is not a candidate. The first
   // obstruction seen becomes the failure reason when nothing survives.
   std::optional<FailReason> obstruction;
   for (std::size_t i = 0; i < landmarks_.size(); ++i) {
-    auto p = via_landmark(engine, i, payment.sender, payment.receiver);
-    if (!p || p->edges.empty()) continue;
+    if (count == candidates_.size()) candidates_.emplace_back();
+    graph::Path& p = candidates_[count];
+    if (!via_landmark(i, payment.sender, payment.receiver, p) || p.edges.empty()) {
+      continue;
+    }
     if (const auto blocked = path_obstruction(
-            engine.network(), *p, engine.config().hostile.timelock_budget)) {
+            engine.network(), p, engine.config().hostile.timelock_budget)) {
       if (!obstruction) obstruction = blocked;
       continue;
     }
-    paths.push_back(std::move(*p));
+    ++count;
   }
-  if (paths.empty()) {
+  if (count == 0) {
     engine.fail_payment(payment.id, obstruction.value_or(FailReason::kNoPath));
     return;
   }
-  retries_left_[payment.id] = config_.chunk_retries * paths.size();
+  retries_left_[payment.id] = config_.chunk_retries * count;
   // Equal chunks, remainder on the first path.
-  const auto k = static_cast<Amount>(paths.size());
+  const auto k = static_cast<Amount>(count);
   const Amount base = payment.value / k;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     Amount chunk = (i == 0) ? payment.value - base * (k - 1) : base;
     if (chunk <= 0) continue;
+    hop_amounts_.assign(candidates_[i].edges.size(), chunk);
     TransactionUnit tu;
     tu.payment = payment.id;
     tu.value = chunk;
-    tu.path = paths[i];
-    tu.hop_amounts.assign(paths[i].edges.size(), chunk);
+    tu.path = candidates_[i];
+    tu.hop_amounts = hop_amounts_;
     tu.deadline = payment.deadline;
     tu.path_index = i;
-    engine.send_tu(std::move(tu));
+    engine.send_tu(tu);
   }
 }
 
@@ -153,25 +160,26 @@ void LandmarkRouter::on_tu_failed(Engine& engine, const TransactionUnit& tu,
   const std::size_t next_index =
       (tu.path_index + 1 + engine.rng().index(landmarks_.size() - 1)) %
       landmarks_.size();
-  auto p = via_landmark(engine, next_index, state->payment.sender,
-                        state->payment.receiver);
-  if (!p || p->edges.empty()) {
+  if (!via_landmark(next_index, state->payment.sender, state->payment.receiver,
+                    retry_path_) ||
+      retry_path_.edges.empty()) {
     engine.fail_payment(tu.payment, FailReason::kNoPath);
     return;
   }
   if (const auto blocked = path_obstruction(
-          engine.network(), *p, engine.config().hostile.timelock_budget)) {
+          engine.network(), retry_path_, engine.config().hostile.timelock_budget)) {
     engine.fail_payment(tu.payment, *blocked);
     return;
   }
+  hop_amounts_.assign(retry_path_.edges.size(), tu.value);
   TransactionUnit retry;
   retry.payment = tu.payment;
   retry.value = tu.value;
-  retry.path = std::move(*p);
-  retry.hop_amounts.assign(retry.path.edges.size(), tu.value);
+  retry.path = retry_path_;
+  retry.hop_amounts = hop_amounts_;
   retry.deadline = tu.deadline;
   retry.path_index = next_index;
-  engine.send_tu(std::move(retry));
+  engine.send_tu(retry);
 }
 
 }  // namespace splicer::routing

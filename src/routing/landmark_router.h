@@ -5,7 +5,6 @@
 // payment travels sender -> landmark_i -> receiver along shortest paths,
 // one equal value chunk per landmark, sent atomically with no retries.
 
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -45,13 +44,16 @@ class LandmarkRouter final : public Router {
     return retries_left_.size();
   }
 
-  /// Exposed for tests: the via-landmark path with loops pruned.
-  [[nodiscard]] static graph::Path prune_loops(const graph::Path& path);
+  /// Exposed for tests: the via-landmark path with loops pruned. Prunes
+  /// in place, so a moved-in path comes back in its own storage.
+  [[nodiscard]] static graph::Path prune_loops(graph::Path path);
 
  private:
-  [[nodiscard]] std::optional<graph::Path> via_landmark(const Engine& engine,
-                                                        std::size_t landmark_index,
-                                                        NodeId from, NodeId to) const;
+  /// Writes the from -> landmark -> to tree walk, loops pruned, into
+  /// `path`, reusing its capacity. False when `from` or `to` lies outside
+  /// the landmark's tree.
+  bool via_landmark(std::size_t landmark_index, NodeId from, NodeId to,
+                    graph::Path& path) const;
 
   Config config_;
   std::vector<NodeId> landmarks_;
@@ -61,6 +63,13 @@ class LandmarkRouter final : public Router {
   // SPLICER_LINT_ALLOW(unordered-decl): keyed lookup/erase by PaymentId only,
   // never iterated; retry bookkeeping order cannot reach the event stream.
   std::unordered_map<PaymentId, std::size_t> retries_left_;
+  // Path scratch, kept for its capacity. on_payment's candidates (the
+  // first ones of candidates_) and on_tu_failed's retry path are apart: a
+  // chunk can fail inside on_payment's send_tu and retry from there.
+  // hop_amounts_ is refilled before every send_tu, which copies it.
+  std::vector<graph::Path> candidates_;
+  graph::Path retry_path_;
+  std::vector<Amount> hop_amounts_;
 };
 
 }  // namespace splicer::routing

@@ -20,7 +20,7 @@ namespace splicer::routing {
 
 /// Sum of per-edge timelock costs along `path` (each edge defaults to 1).
 [[nodiscard]] inline std::uint64_t path_timelock_cost(
-    const pcn::Network& network, const graph::Path& path) {
+    const pcn::Network& network, graph::PathView path) {
   std::uint64_t cost = 0;
   for (const ChannelId edge : path.edges) {
     cost += network.channel(edge).policy().timelock;
@@ -35,7 +35,7 @@ namespace splicer::routing {
 /// hop by hop from the source so the reported reason is the first one a
 /// forwarding attempt would hit.
 [[nodiscard]] inline std::optional<FailReason> path_obstruction(
-    const pcn::Network& network, const graph::Path& path,
+    const pcn::Network& network, graph::PathView path,
     std::uint32_t timelock_budget) {
   std::uint64_t timelock = 0;
   for (const ChannelId edge : path.edges) {

@@ -93,8 +93,6 @@ std::uint32_t RateRouterBase::ensure_pair(Engine& engine, const PairKey& pair) {
   const auto it = pair_index_.find(pack_pair(pair));
   if (it != pair_index_.end()) return it->second;
 
-  // SPLICER_LINT_ALLOW(hotpath-alloc): first-touch pair construction — runs
-  // once per (src, dst) pair on its first demand, never per TU or per tick.
   const std::vector<graph::Path> pair_paths = compute_pair_paths(engine, pair);
   const auto first_path = static_cast<std::uint32_t>(rate_tps_.size());
   for (const auto& p : pair_paths) {
@@ -130,8 +128,6 @@ std::uint32_t RateRouterBase::ensure_pair(Engine& engine, const PairKey& pair) {
   return index;
 }
 
-// SPLICER_LINT_ALLOW(hotpath-alloc): first-touch pair construction — path
-// selection runs once per pair (ensure_pair miss), never per TU or per tick.
 std::vector<graph::Path> RateRouterBase::compute_pair_paths(
     Engine& engine, const PairKey& pair) const {
   return graph::select_paths(engine.network().topology(), pair.from, pair.to,
@@ -260,8 +256,6 @@ const std::vector<Amount>& RateRouterBase::fee_schedule(
   const std::uint32_t* hops = hops_.data() + hop_begin_[path];
   const std::size_t hop_count = hop_begin_[path + 1] - hop_begin_[path];
   auto& amounts = fee_scratch_;
-  // SPLICER_LINT_ALLOW(hotpath-alloc): per-router scratch — grows to the
-  // longest path's hop count once, then every resize is within capacity.
   amounts.resize(hop_count);
   Amount carry = value;
   for (std::size_t i = hop_count; i-- > 0;) {
@@ -353,16 +347,17 @@ void RateRouterBase::try_send(Engine& engine, std::uint32_t pair,
     return;
   }
 
+  // Views of the path cache and the fee scratch: send_tu copies both.
   TransactionUnit tu;
   tu.payment = entry.payment;
   tu.value = tu_value;
   tu.path = full_paths_[path];
-  tu.hop_amounts = hop_amounts;  // the TU owns its schedule; scratch is reused
+  tu.hop_amounts = hop_amounts;
   tu.deadline = payment_state.payment.deadline;
   tu.path_index = path_index;
   entry.remaining -= tu_value;
   ++outstanding_[path];
-  engine.send_tu(std::move(tu));
+  engine.send_tu(tu);
 
   PathPacing& pacing = pacing_[path];
   pacing.last_send = engine.now();

@@ -240,9 +240,9 @@ class RateRouterBase : public Router {
     return paced > pacing.hold_until ? paced : pacing.hold_until;
   }
   /// Per-hop amounts (eq. 24) for a TU of `value` on `path`, filled into
-  /// fee_scratch_ — valid until the next fee_schedule call. Rejected admits
-  /// (funds short, window re-check) thus cost no allocation; only a TU that
-  /// is actually sent copies the schedule into its own storage. The network
+  /// fee_scratch_ — valid until the next fee_schedule call. Neither a
+  /// rejected admit nor a sent TU allocates: send_tu copies the schedule
+  /// into engine storage the TU recycles. The network
   /// supplies each hop's ChannelPolicy, whose {fee_base, fee_proportional}
   /// compose with the price-derived rate (identity in a benign run: base 0,
   /// proportional 0.0 leaves every double bit-identical).
@@ -292,8 +292,8 @@ class RateRouterBase : public Router {
   /// hops_[hop_begin_[p], hop_begin_[p + 1]).
   std::vector<std::uint32_t> hops_;
   std::vector<std::uint32_t> hop_begin_{0};
-  /// The full client -> ... -> client path of each path id, ready to send
-  /// on; only try_send reads it.
+  /// The full client -> ... -> client path of each path id; try_send's
+  /// TUs view it, and send_tu copies it.
   std::deque<graph::Path> full_paths_;
   // SPLICER_LINT_ALLOW(unordered-decl): keyed O(1) pair-index lookup by
   // packed PairKey; never iterated — the sweep order is sweep_order_.
@@ -302,9 +302,9 @@ class RateRouterBase : public Router {
   // never iterated; iteration order cannot reach the event stream.
   std::unordered_map<PaymentId, std::uint32_t> pair_of_payment_;
   /// fee_schedule's output buffer: one live schedule at a time (try_send
-  /// consumes it before the next call), so the per-TU vector is hoisted out
-  /// of the send path — capacity reaches the longest path's hop count once
-  /// and stays there. Mutable because fee_schedule is logically const.
+  /// hands it to send_tu, which copies it, before the next call), so
+  /// capacity reaches the longest path's hop count once and stays there.
+  /// Mutable because fee_schedule is logically const.
   mutable std::vector<Amount> fee_scratch_;
 };
 

@@ -9,8 +9,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "graph/graph.h"
 #include "pcn/types.h"
@@ -59,12 +59,18 @@ static_assert(kFailReasonCount == 8,
 /// One transaction unit (paper: TU with fresh tuid). hop_amounts[i] is the
 /// amount locked on the i-th path edge; it exceeds the delivered value by
 /// the downstream forwarding fees (paper eq. 24).
+///
+/// A TU owns no storage: `path` and `hop_amounts` are views. A router points
+/// them at its own path cache or scratch and calls Engine::send_tu, which
+/// copies both into engine-owned per-TU storage before it returns, so the
+/// router may reuse its buffers at once. The TUs the engine hands to router
+/// hooks view that engine storage (see the lifetime contract on Router).
 struct TransactionUnit {
   TuId id = 0;
   PaymentId payment = 0;
   Amount value = 0;  // value delivered at the destination
-  graph::Path path;
-  std::vector<Amount> hop_amounts;
+  graph::PathView path;
+  std::span<const Amount> hop_amounts;
   std::size_t next_hop = 0;  // index of the edge about to be locked
   bool marked = false;
   double created_at = 0.0;
@@ -74,6 +80,13 @@ struct TransactionUnit {
 
 class Engine;
 
+/// Router hooks receive `const TransactionUnit&`. Lifetime contract: the
+/// scalar fields may be copied out freely, but the `path` and `hop_amounts`
+/// views are valid only until the hook returns. The engine recycles a TU's
+/// storage once the TU is released, and the storage never moves while the
+/// TU is live, so a hook may call Engine::send_tu (where its contract
+/// allows) without invalidating the view it was handed. To keep a path
+/// beyond the hook, copy it.
 class Router {
  public:
   virtual ~Router() = default;
@@ -102,10 +115,10 @@ class Router {
 
   /// A TU locked funds on (channel, direction); rate-based routers
   /// accumulate the per-direction arrival counters m_a here (eq. 22).
-  /// `tu` refers into the engine's slab store: do NOT call
+  /// `tu` refers into the engine's live-TU slab: do NOT call
   /// Engine::send_tu from this hook (a slab grow may relocate the
-  /// referenced TU). on_tu_delivered/on_tu_failed receive stable copies
-  /// and are the places to dispatch follow-up TUs.
+  /// referenced record). on_tu_delivered/on_tu_failed receive copies of the
+  /// record and are the places to dispatch follow-up TUs.
   virtual void on_tu_forwarded(Engine& engine, const TransactionUnit& tu,
                                ChannelId channel, pcn::Direction direction) {
     (void)engine;

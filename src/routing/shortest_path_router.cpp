@@ -24,13 +24,15 @@ void ShortestPathRouter::on_payment(Engine& engine, const pcn::Payment& payment)
     engine.fail_payment(payment.id, *obstruction);
     return;
   }
+  // Views of the path cache and the hop-amount scratch: send_tu copies both.
+  hop_amounts_.assign(it->second.edges.size(), payment.value);
   TransactionUnit tu;
   tu.payment = payment.id;
   tu.value = payment.value;
   tu.path = it->second;
-  tu.hop_amounts.assign(it->second.edges.size(), payment.value);
+  tu.hop_amounts = hop_amounts_;
   tu.deadline = payment.deadline;
-  engine.send_tu(std::move(tu));
+  engine.send_tu(tu);
 }
 
 void ShortestPathRouter::on_tu_failed(Engine& engine, const TransactionUnit& tu,

@@ -6,6 +6,7 @@
 // routing_deadlock tests and the deadlock_demo example are built on this.
 
 #include <map>
+#include <vector>
 
 #include "routing/engine.h"
 #include "routing/router.h"
@@ -22,6 +23,7 @@ class ShortestPathRouter final : public Router {
 
  private:
   std::map<std::pair<NodeId, NodeId>, graph::Path> cache_;
+  std::vector<Amount> hop_amounts_;  // the sent TU's schedule (send_tu copies it)
 };
 
 }  // namespace splicer::routing

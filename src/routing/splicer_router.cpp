@@ -88,6 +88,8 @@ std::optional<graph::Path> SplicerRouter::assemble_path(
   const NodeId hub_e = hub_of_.at(to);
 
   graph::Path full;
+  full.nodes.reserve(pair_path.nodes.size() + 2);
+  full.edges.reserve(pair_path.edges.size() + 2);
   // Sender spoke (skipped when the sender is itself the hub).
   if (from != hub_s) {
     const auto spoke = g.find_edge(from, hub_s);

@@ -37,13 +37,14 @@ class PathRouter : public Router {
       engine.fail_payment(payment.id, FailReason::kNoPath);
       return;
     }
+    const std::vector<Amount> hop_amounts(path->edges.size(), payment.value);
     TransactionUnit tu;
     tu.payment = payment.id;
     tu.value = payment.value;
     tu.path = *path;
-    tu.hop_amounts.assign(tu.path.edges.size(), payment.value);
+    tu.hop_amounts = hop_amounts;
     tu.deadline = payment.deadline;
-    engine.send_tu(std::move(tu));
+    engine.send_tu(tu);
   }
 };
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 
@@ -61,21 +64,46 @@ pcn::Payment make_payment(PaymentId id, NodeId s, NodeId r, Amount v,
   return p;
 }
 
-TransactionUnit two_hop_tu(const pcn::Network& net, PaymentId payment, Amount v) {
+/// A TU plus the route storage its views point at. send_tu copies the
+/// route, so the holder only has to outlive that call.
+struct RoutedTu {
+  std::vector<NodeId> nodes;
+  std::vector<ChannelId> edges;
+  std::vector<Amount> hop_amounts;
   TransactionUnit tu;
-  tu.payment = payment;
-  tu.value = v;
-  tu.path.nodes = {0, 1, 2};
-  tu.path.edges = {net.topology().find_edge(0, 1), net.topology().find_edge(1, 2)};
-  tu.hop_amounts = {v, v};
-  tu.deadline = 10.0;
-  return tu;
+
+  /// The TU, its views pointed at this holder's vectors.
+  const TransactionUnit& view() {
+    tu.path = graph::PathView(nodes, edges);
+    tu.hop_amounts = hop_amounts;
+    return tu;
+  }
+};
+
+/// `v` along the node sequence `nodes` (consecutive nodes adjacent in `net`).
+RoutedTu routed_tu(const pcn::Network& net, PaymentId payment, Amount v,
+                   std::vector<NodeId> nodes) {
+  RoutedTu routed;
+  routed.nodes = std::move(nodes);
+  for (std::size_t i = 0; i + 1 < routed.nodes.size(); ++i) {
+    routed.edges.push_back(
+        net.topology().find_edge(routed.nodes[i], routed.nodes[i + 1]));
+  }
+  routed.hop_amounts.assign(routed.edges.size(), v);
+  routed.tu.payment = payment;
+  routed.tu.value = v;
+  routed.tu.deadline = 10.0;
+  return routed;
+}
+
+RoutedTu two_hop_tu(const pcn::Network& net, PaymentId payment, Amount v) {
+  return routed_tu(net, payment, v, {0, 1, 2});
 }
 
 TEST(Engine, SuccessfulPaymentSettlesFunds) {
   auto net = line_network();
   ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
-    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value));
+    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value).view());
   });
   Engine engine(net, {make_payment(1, 0, 2, whole_tokens(4))}, router);
   const auto m = engine.run();
@@ -91,7 +119,7 @@ TEST(Engine, ConservationAcrossManyPayments) {
   auto net = line_network();
   const Amount before = net.total_funds();
   ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
-    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value));
+    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value).view());
   });
   std::vector<pcn::Payment> payments;
   for (int i = 0; i < 30; ++i) {
@@ -105,20 +133,11 @@ TEST(Engine, ConservationAcrossManyPayments) {
   }
   // Fix paths per direction.
   ScriptedRouter bidirouter([&](Engine& engine, const pcn::Payment& p) {
-    TransactionUnit tu;
-    tu.payment = p.id;
-    tu.value = p.value;
-    if (p.sender == 0) {
-      tu.path.nodes = {0, 1, 2};
-    } else {
-      tu.path.nodes = {2, 1, 0};
-    }
-    const auto& g = engine.network().topology();
-    tu.path.edges = {g.find_edge(tu.path.nodes[0], tu.path.nodes[1]),
-                     g.find_edge(tu.path.nodes[1], tu.path.nodes[2])};
-    tu.hop_amounts = {p.value, p.value};
-    tu.deadline = p.deadline;
-    engine.send_tu(std::move(tu));
+    RoutedTu tu = routed_tu(engine.network(), p.id, p.value,
+                            p.sender == 0 ? std::vector<NodeId>{0, 1, 2}
+                                          : std::vector<NodeId>{2, 1, 0});
+    tu.tu.deadline = p.deadline;
+    engine.send_tu(tu.view());
   });
   Engine engine(std::move(net), payments, bidirouter);
   const auto m = engine.run();  // run() asserts conservation internally
@@ -133,7 +152,7 @@ TEST(Engine, AtomicFailureRefundsUpstreamLocks) {
   ASSERT_TRUE(ch.lock(ch.direction_from(1), whole_tokens(10)));
 
   ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
-    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value));
+    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value).view());
   });
   EngineConfig config;
   config.queues_enabled = false;
@@ -156,7 +175,7 @@ TEST(Engine, QueueModeHoldsThenDelivers) {
   ASSERT_TRUE(ch.lock(d, whole_tokens(10)));
 
   ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
-    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value));
+    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value).view());
     engine.schedule_timer(0.1, 0);
   });
   router.timer = [](Engine& engine) {
@@ -184,7 +203,7 @@ TEST(Engine, MarkingFailsQueuedTuAfterThreshold) {
   ASSERT_TRUE(ch.lock(ch.direction_from(1), whole_tokens(10)));  // block forever
 
   ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
-    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value));
+    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value).view());
   });
   EngineConfig config;
   config.queues_enabled = true;
@@ -205,7 +224,7 @@ TEST(Engine, QueueOverflowRejectsImmediately) {
   ASSERT_TRUE(ch.lock(ch.direction_from(1), whole_tokens(10)));
 
   ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
-    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value));
+    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value).view());
   });
   EngineConfig config;
   config.queues_enabled = true;
@@ -230,7 +249,7 @@ TEST(Engine, DeadlineFailsIncompletePayment) {
 TEST(Engine, PartialDeliveryDoesNotComplete) {
   auto net = line_network();
   ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
-    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value / 2));  // half only
+    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value / 2).view());  // half only
   });
   Engine engine(std::move(net), {make_payment(1, 0, 2, whole_tokens(4))}, router);
   const auto m = engine.run();
@@ -243,9 +262,9 @@ TEST(Engine, FeesAccrueToIntermediary) {
   auto net = line_network();
   // Sender pays 5 + 1 fee on the first hop; relay keeps the margin.
   ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
-    TransactionUnit tu = two_hop_tu(engine.network(), p.id, p.value);
+    RoutedTu tu = two_hop_tu(engine.network(), p.id, p.value);
     tu.hop_amounts = {p.value + whole_tokens(1), p.value};
-    engine.send_tu(std::move(tu));
+    engine.send_tu(tu.view());
   });
   Engine engine(net, {make_payment(1, 0, 2, whole_tokens(5))}, router);
   const auto m = engine.run();
@@ -261,17 +280,67 @@ TEST(Engine, SendTuValidation) {
     TransactionUnit bad;
     bad.payment = p.id;
     bad.value = whole_tokens(1);
-    EXPECT_THROW((void)engine.send_tu(std::move(bad)), std::invalid_argument);
+    EXPECT_THROW((void)engine.send_tu(bad), std::invalid_argument);
+    // One node short of its edges: the hops would read past the nodes.
+    RoutedTu short_nodes = two_hop_tu(engine.network(), p.id, p.value);
+    short_nodes.nodes.pop_back();
+    EXPECT_THROW((void)engine.send_tu(short_nodes.view()), std::invalid_argument);
   });
   Engine engine(std::move(net), {make_payment(1, 0, 2, whole_tokens(1))}, router);
   (void)engine.run();
+}
+
+TEST(Engine, SendTuCopiesTheRouteAndHooksSeeIt) {
+  // The router overwrites its route buffers right after send_tu, and its
+  // failure hook sends a retry before it reads the failed TU's views: the
+  // TU must still move funds along the sent route, and the hook's views
+  // must still show that route.
+  auto net = line_network(whole_tokens(10));
+  auto& ch = net.channel(net.topology().find_edge(1, 2));
+  ASSERT_TRUE(ch.lock(ch.direction_from(1), whole_tokens(10)));  // 1->2 dry
+
+  struct RetryRouter : Router {
+    [[nodiscard]] std::string name() const override { return "retry"; }
+    void on_payment(Engine& engine, const pcn::Payment& p) override {
+      RoutedTu sent = two_hop_tu(engine.network(), p.id, whole_tokens(2));
+      engine.send_tu(sent.view());
+      sent.nodes.assign({2, 1, 0});
+      sent.hop_amounts.assign({whole_tokens(9), whole_tokens(9)});
+    }
+    void on_tu_failed(Engine& engine, const TransactionUnit& tu, FailReason) override {
+      if (retried) return;
+      retried = true;
+      // One hop, 0 -> 1: a new TU takes a new route slot.
+      engine.send_tu(routed_tu(engine.network(), tu.payment, tu.value, {0, 1}).view());
+      failed_nodes.assign(tu.path.nodes.begin(), tu.path.nodes.end());
+      failed_amounts.assign(tu.hop_amounts.begin(), tu.hop_amounts.end());
+    }
+    bool retried = false;
+    std::vector<NodeId> failed_nodes;
+    std::vector<Amount> failed_amounts;
+  } router;
+
+  EngineConfig config;
+  config.queues_enabled = false;
+  Engine engine(std::move(net), {make_payment(1, 0, 2, whole_tokens(2))}, router,
+                config);
+  const auto m = engine.run();
+  EXPECT_EQ(m.tus_failed, 1u);
+  EXPECT_EQ(m.tus_delivered, 1u);
+  EXPECT_EQ(router.failed_nodes, (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(router.failed_amounts,
+            (std::vector<Amount>{whole_tokens(2), whole_tokens(2)}));
+  // The failed TU's 0->1 lock was refunded and the retry moved 2 tokens
+  // across channel (0,1); nothing ever left from node 2.
+  EXPECT_EQ(engine.network().available_from(0, 0), whole_tokens(8));
+  EXPECT_EQ(engine.network().available_from(0, 1), whole_tokens(12));
 }
 
 TEST(Engine, BatchedSettlementReachesSameFinalBalances) {
   for (const double epoch_s : {0.0, 0.01, 0.25}) {
     auto net = line_network();
     ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
-      engine.send_tu(two_hop_tu(engine.network(), p.id, p.value));
+      engine.send_tu(two_hop_tu(engine.network(), p.id, p.value).view());
     });
     EngineConfig config;
     config.settlement_epoch_s = epoch_s;
@@ -294,7 +363,7 @@ TEST(Engine, BatchedRefundRestoresUpstreamLocks) {
   ASSERT_TRUE(ch.lock(ch.direction_from(1), whole_tokens(10)));  // block 1->2
 
   ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
-    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value));
+    engine.send_tu(two_hop_tu(engine.network(), p.id, p.value).view());
   });
   EngineConfig config;
   config.queues_enabled = false;
@@ -311,7 +380,7 @@ TEST(Engine, BatchedModeProcessesFewerEvents) {
   const auto run_with = [](double epoch_s) {
     auto net = line_network(whole_tokens(1000));
     ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
-      engine.send_tu(two_hop_tu(engine.network(), p.id, p.value));
+      engine.send_tu(two_hop_tu(engine.network(), p.id, p.value).view());
     });
     std::vector<pcn::Payment> payments;
     for (int i = 0; i < 40; ++i) {
@@ -353,7 +422,8 @@ TEST(Engine, BatchedModeCoalescesSameInstantArrivals) {
     ScriptedRouter router([tus](Engine& engine, const pcn::Payment& p) {
       for (std::size_t i = 0; i < tus; ++i) {
         engine.send_tu(two_hop_tu(engine.network(), p.id,
-                                  p.value / static_cast<Amount>(tus)));
+                                  p.value / static_cast<Amount>(tus))
+                           .view());
       }
     });
     EngineConfig config;
@@ -368,6 +438,192 @@ TEST(Engine, BatchedModeCoalescesSameInstantArrivals) {
   // Same-instant hop arrivals of the second TU ride the first TU's events:
   // the event count must grow by less than the single-TU arrival cost.
   EXPECT_LT(two.scheduler_events, 2 * one.scheduler_events);
+}
+
+/// Logs every hop lock and resolution in order. `send` runs on payment
+/// arrival and on every timer (with the timer's `a`); `forwarded` runs
+/// after each lock is logged.
+class HopLogRouter : public Router {
+ public:
+  struct Lock {
+    TuId id;
+    std::size_t hop;
+    double at;
+  };
+
+  [[nodiscard]] std::string name() const override { return "hop-log"; }
+  void on_payment(Engine& engine, const pcn::Payment& p) override {
+    payment = p.id;
+    if (arrived) arrived(engine);
+  }
+  void on_timer(Engine& engine, std::uint64_t a, std::uint64_t) override {
+    log.push_back("timer");
+    if (timer) timer(engine, a);
+  }
+  void on_tu_forwarded(Engine& engine, const TransactionUnit& tu, ChannelId,
+                       pcn::Direction) override {
+    locks.push_back({tu.id, tu.next_hop, engine.now()});
+    log.push_back("lock " + std::to_string(tu.id) + "/" +
+                  std::to_string(tu.next_hop));
+    if (forwarded) forwarded(engine, tu);
+  }
+  void on_tu_delivered(Engine&, const TransactionUnit& tu) override {
+    log.push_back("deliver " + std::to_string(tu.id));
+  }
+  void on_tu_failed(Engine&, const TransactionUnit& tu, FailReason reason) override {
+    failed.emplace_back(tu.id, reason);
+  }
+
+  /// Locks of path hop `hop`, in the order they happened.
+  [[nodiscard]] std::vector<Lock> locks_of_hop(std::size_t hop) const {
+    std::vector<Lock> out;
+    for (const Lock& lock : locks) {
+      if (lock.hop == hop) out.push_back(lock);
+    }
+    return out;
+  }
+
+  PaymentId payment = 0;
+  std::function<void(Engine&)> arrived;
+  std::function<void(Engine&, std::uint64_t)> timer;
+  std::function<void(Engine&, const TransactionUnit&)> forwarded;
+  std::vector<Lock> locks;
+  std::vector<std::string> log;
+  std::vector<std::pair<TuId, FailReason>> failed;
+};
+
+pcn::Network five_node_line() {
+  graph::Graph g(5);
+  for (NodeId v = 0; v + 1 < 5; ++v) g.add_edge(v, v + 1);
+  return pcn::Network::with_uniform_funds(std::move(g), whole_tokens(10));
+}
+
+TEST(Engine, BatchedArrivalsOnOneTickShareABucketInInsertionOrder) {
+  // Three 1-token TUs lock their first hop at 0.1 s, 0.3 ns later and 2 ns
+  // later, each on its own channel directions (no processing-rate wait).
+  // With a 5 ms hop delay the first two arrive on one nanosecond tick, so in
+  // batched mode they share that tick's bucket: both take their second hop
+  // when it fires, at the first one's arrival instant, in insertion order.
+  // The third arrives two ticks later and gets its own event. Exact mode
+  // keeps every arrival at its own instant.
+  const std::vector<std::vector<NodeId>> routes{{0, 1, 2}, {2, 1, 0}, {2, 3, 4}};
+  const std::vector<double> send_at{0.0, 3e-10, 2e-9};
+  for (const double epoch_s : {0.01, 0.0}) {
+    HopLogRouter router;
+    std::vector<TuId> sent;
+    router.arrived = [&](Engine& engine) {
+      for (std::size_t i = 0; i < send_at.size(); ++i) {
+        engine.schedule_timer(send_at[i], i);
+      }
+    };
+    router.timer = [&](Engine& engine, std::uint64_t i) {
+      sent.push_back(engine.send_tu(
+          routed_tu(engine.network(), router.payment, whole_tokens(1), routes[i])
+              .view()));
+    };
+    EngineConfig config;
+    config.settlement_epoch_s = epoch_s;
+    Engine engine(five_node_line(), {make_payment(1, 0, 4, whole_tokens(3))},
+                  router, config);
+    const auto m = engine.run();
+    EXPECT_EQ(m.payments_completed, 1u);
+    const auto second = router.locks_of_hop(1);
+    ASSERT_EQ(second.size(), 3u);
+    ASSERT_EQ(sent.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(second[i].id, sent[i]);
+    const double first_arrival = 0.1 + EngineConfig{}.hop_delay_s;
+    EXPECT_EQ(second[0].at, first_arrival);
+    if (epoch_s > 0) {
+      EXPECT_EQ(second[1].at, first_arrival) << "0.3 ns later, same tick";
+    } else {
+      EXPECT_GT(second[1].at, first_arrival);
+    }
+    EXPECT_GT(second[2].at, second[1].at) << "2 ns later, its own tick";
+  }
+}
+
+TEST(Engine, ZeroHopDelayForwardOpensANewSameInstantBucket) {
+  // With a zero hop delay, a TU forwarded while its bucket fires arrives on
+  // that bucket's own tick. The firing bucket is no longer pending, so the
+  // TU opens a new bucket whose event comes after every event scheduled
+  // before it at that instant: here a router timer armed from the first
+  // second-hop lock fires before either TU is delivered.
+  HopLogRouter router;
+  TuId first = 0;
+  bool armed = false;
+  router.arrived = [&](Engine& engine) {
+    first = engine.send_tu(
+        routed_tu(engine.network(), router.payment, whole_tokens(1), {0, 1, 2})
+            .view());
+    engine.send_tu(
+        routed_tu(engine.network(), router.payment, whole_tokens(1), {2, 1, 0})
+            .view());
+  };
+  router.forwarded = [&](Engine& engine, const TransactionUnit& tu) {
+    if (tu.id == first && tu.next_hop == 1 && !armed) {
+      armed = true;
+      engine.schedule_timer(0.0, 0);
+    }
+  };
+  EngineConfig config;
+  config.hop_delay_s = 0.0;
+  config.settlement_epoch_s = 0.01;
+  Engine engine(line_network(), {make_payment(1, 0, 2, whole_tokens(2))}, router,
+                config);
+  const auto m = engine.run();
+  EXPECT_EQ(m.payments_completed, 1u);
+  const std::vector<std::string> expected{"lock 1/0", "lock 2/0", "lock 1/1",
+                                          "lock 2/1", "timer",    "deliver 1",
+                                          "deliver 2"};
+  EXPECT_EQ(router.log, expected);
+  for (const auto& lock : router.locks) EXPECT_EQ(lock.at, 0.1);
+}
+
+TEST(Engine, ChurnCloseFailsTusWaitingInABucket) {
+  // Two TUs lock the only channel (one each way) half a hop delay before the
+  // churn stream's first close of it, so both sit in one arrival bucket when
+  // the close lands. The close must refund and fail both; the bucket then
+  // fires on nothing, and no TU is delivered.
+  pcn::HostileConfig hostile;
+  hostile.churn_rate = 1.0;
+  const auto streams = pcn::make_mutators(hostile, 2, 1, 1e3);
+  ASSERT_EQ(streams.size(), 1u);
+  const auto close = streams.front()->next();
+  ASSERT_TRUE(close.has_value());
+  ASSERT_EQ(close->kind, pcn::MutationEvent::Kind::kChannelClose);
+  ASSERT_GT(close->time, 0.01);
+
+  EngineConfig config;
+  config.settlement_epoch_s = 0.01;
+  config.hostile = hostile;
+  const double send_at = close->time - config.hop_delay_s / 2;
+
+  HopLogRouter router;
+  router.arrived = [&](Engine& engine) {
+    engine.send_tu(
+        routed_tu(engine.network(), router.payment, whole_tokens(1), {0, 1})
+            .view());
+    engine.send_tu(
+        routed_tu(engine.network(), router.payment, whole_tokens(1), {1, 0})
+            .view());
+  };
+  graph::Graph g(2);
+  g.add_edge(0, 1);
+  Engine engine(pcn::Network::with_uniform_funds(std::move(g), whole_tokens(10)),
+                {make_payment(1, 0, 1, whole_tokens(2), send_at)}, router, config);
+  const auto m = engine.run();
+  ASSERT_EQ(router.failed.size(), 2u);
+  for (const auto& [id, reason] : router.failed) {
+    EXPECT_EQ(reason, FailReason::kChannelClosed) << "TU " << id;
+  }
+  EXPECT_EQ(router.locks.size(), 2u);
+  EXPECT_EQ(m.tus_delivered, 0u);
+  EXPECT_EQ(m.tu_fail_reasons[static_cast<std::size_t>(FailReason::kChannelClosed)],
+            2u);
+  EXPECT_EQ(m.resident_tus_at_end, 0u);
+  // Both locks were refunded through the epoch buffer.
+  EXPECT_EQ(engine.network().available_from(0, 0), whole_tokens(10));
+  EXPECT_EQ(engine.network().available_from(0, 1), whole_tokens(10));
 }
 
 TEST(Engine, MetricsCountsGeneratedAndValue) {
@@ -396,13 +652,15 @@ TEST(Engine, UnknownPaymentIdStillThrows) {
     EXPECT_EQ(engine.find_payment_state(payment.id + 999), nullptr);
     EXPECT_THROW(engine.fail_payment(payment.id + 999, FailReason::kNoPath),
                  std::out_of_range);
+    const std::array<NodeId, 2> nodes{0, 1};
+    const std::array<ChannelId, 1> edges{0};
+    const std::array<Amount, 1> hop_amounts{payment.value};
     TransactionUnit tu;
     tu.payment = payment.id + 999;
     tu.value = payment.value;
-    tu.path.nodes = {0, 1};
-    tu.path.edges = {0};
-    tu.hop_amounts = {payment.value};
-    EXPECT_THROW(engine.send_tu(std::move(tu)), std::out_of_range);
+    tu.path = graph::PathView(nodes, edges);
+    tu.hop_amounts = hop_amounts;
+    EXPECT_THROW(engine.send_tu(tu), std::out_of_range);
     engine.fail_payment(payment.id, FailReason::kNoPath);
   });
   Engine engine(line_network(),

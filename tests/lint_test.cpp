@@ -50,8 +50,8 @@ std::vector<LineRule> line_rules(const std::vector<Finding>& findings) {
 TEST(LintRules, TableListsEveryRuleOnce) {
   const std::vector<std::string> expected = {
       "ambient-nondet", "unordered-decl", "unordered-iter",
-      "std-function",   "slab-alias",     "hotpath-alloc",
-      "slab-alias-escape", "stale-allow"};
+      "std-function",   "slab-alias",     "slab-alias-escape",
+      "stale-allow"};
   const auto& table = rules();
   ASSERT_EQ(table.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -319,34 +319,6 @@ std::vector<Finding> lint_fixture_files(
   return lint_files(files);
 }
 
-TEST(LintInterproc, HotpathAllocFlagsReachableAllocHonorsAllow) {
-  const auto findings = lint_fixture_files(
-      {{"src/routing/hotpath_alloc.cpp", "hotpath_alloc.cpp"}});
-  // The `new` two calls below handle_event is flagged; the annotated pool
-  // refill is suppressed (and its allow is therefore not stale).
-  const std::vector<LineRule> expected = {{19, "hotpath-alloc"}};
-  EXPECT_EQ(line_rules(findings), expected);
-  ASSERT_EQ(findings.size(), 1u);
-  // The message carries the interprocedural evidence: the root-to-sink
-  // call chain.
-  EXPECT_NE(findings[0].message.find(
-                "Engine::handle_event -> Engine::dispatch -> "
-                "Engine::build_scratch"),
-            std::string::npos)
-      << findings[0].message;
-}
-
-TEST(LintInterproc, HotpathAllocNeedsAHotRoot) {
-  // Same file without reachability from a hot entry point: helpers that no
-  // handle_event/on_timer reaches are not hot.
-  const std::string src =
-      "struct Cold {\n"
-      "  void prepare() { data_ = new int[4]; }\n"
-      "  int* data_ = nullptr;\n"
-      "};\n";
-  EXPECT_TRUE(lint_files({FileContent{"src/routing/cold.cpp", src}}).empty());
-}
-
 TEST(LintInterproc, SlabAliasEscapeFlagsEscapeHonorsAllow) {
   const auto findings =
       lint_fixture_files({{"src/routing/slab_escape.cpp", "slab_escape.cpp"}});
@@ -485,11 +457,11 @@ TEST(CliFormats, DumpCallgraphListsFunctionsAndUnresolved) {
 
 TEST(LintRenderers, JsonIsExactAndEscaped) {
   const std::vector<Finding> findings = {
-      {"src/a.cpp", 3, "hotpath-alloc", "msg \"quoted\"\twith\ttabs"}};
+      {"src/a.cpp", 3, "slab-alias", "msg \"quoted\"\twith\ttabs"}};
   EXPECT_EQ(to_json(findings),
             "[\n"
             "  {\"file\": \"src/a.cpp\", \"line\": 3, \"rule\": "
-            "\"hotpath-alloc\", \"message\": \"msg \\\"quoted\\\"\\twith\\t"
+            "\"slab-alias\", \"message\": \"msg \\\"quoted\\\"\\twith\\t"
             "tabs\"}\n"
             "]\n");
   EXPECT_EQ(to_json({}), "[\n]\n");

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "graph/generators.h"
 #include "routing/engine.h"
 
@@ -17,15 +19,18 @@ class RecordingRouter : public Router {
   [[nodiscard]] std::string name() const override { return "recording"; }
   void on_payment(Engine& engine, const pcn::Payment& payment) override {
     // One TU per payment across the 2-hop line 0-1-2, value = payment value.
+    const std::array<NodeId, 3> nodes{0, 1, 2};
+    const std::array<ChannelId, 2> edges{
+        engine.network().topology().find_edge(0, 1),
+        engine.network().topology().find_edge(1, 2)};
+    const std::array<Amount, 2> hop_amounts{payment.value, payment.value};
     TransactionUnit tu;
     tu.payment = payment.id;
     tu.value = payment.value;
-    tu.path.nodes = {0, 1, 2};
-    tu.path.edges = {engine.network().topology().find_edge(0, 1),
-                     engine.network().topology().find_edge(1, 2)};
-    tu.hop_amounts = {payment.value, payment.value};
+    tu.path = graph::PathView(nodes, edges);
+    tu.hop_amounts = hop_amounts;
     tu.deadline = payment.deadline;
-    engine.send_tu(std::move(tu));
+    engine.send_tu(tu);
   }
   void on_tu_delivered(Engine&, const TransactionUnit& tu) override {
     delivered_payments.push_back(tu.payment);

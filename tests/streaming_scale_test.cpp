@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "graph/graph.h"
 #include "pcn/network.h"
 #include "pcn/traffic_source.h"
@@ -30,14 +32,16 @@ class ForwardingRouter : public Router {
  public:
   [[nodiscard]] std::string name() const override { return "forwarding"; }
   void on_payment(Engine& engine, const pcn::Payment& payment) override {
+    const std::array<NodeId, 2> nodes{payment.sender, payment.receiver};
+    const std::array<ChannelId, 1> edges{0};
+    const std::array<Amount, 1> hop_amounts{payment.value};
     TransactionUnit tu;
     tu.payment = payment.id;
     tu.value = payment.value;
     tu.deadline = payment.deadline;
-    tu.path.nodes = {payment.sender, payment.receiver};
-    tu.path.edges = {0};
-    tu.hop_amounts = {payment.value};
-    engine.send_tu(std::move(tu));
+    tu.path = graph::PathView(nodes, edges);
+    tu.hop_amounts = hop_amounts;
+    engine.send_tu(tu);
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -448,14 +449,16 @@ class DirectRouter : public routing::Router {
   [[nodiscard]] std::string name() const override { return "direct"; }
   void on_payment(routing::Engine& engine,
                   const pcn::Payment& payment) override {
+    const std::array<NodeId, 2> nodes{payment.sender, payment.receiver};
+    const std::array<ChannelId, 1> edges{0};
+    const std::array<Amount, 1> hop_amounts{payment.value};
     routing::TransactionUnit tu;
     tu.payment = payment.id;
     tu.value = payment.value;
     tu.deadline = payment.deadline;
-    tu.path.nodes = {payment.sender, payment.receiver};
-    tu.path.edges = {0};
-    tu.hop_amounts = {payment.value};
-    engine.send_tu(std::move(tu));
+    tu.path = graph::PathView(nodes, edges);
+    tu.hop_amounts = hop_amounts;
+    engine.send_tu(tu);
   }
 };
 

@@ -51,7 +51,9 @@
 #
 # Hostile-world gates (fault injection / channel churn / policy mutators):
 #   * the robustness bench runs its fast sweep — it exits nonzero itself if
-#     any cell ends with resident TUs or wedged queue value;
+#     any cell ends with resident TUs or wedged queue value — at epochs 0
+#     and 10 ms, and each JSON must match its frozen baseline in
+#     tests/data/robustness_baseline byte for byte (again under ASan+UBSan);
 #   * explicit rate-0 flags through splicer_cli must reproduce the benign
 #     run byte-for-byte (the mutator plumbing is provably dormant at rate
 #     0, complementing the fig7 frozen-baseline diff above);
@@ -182,6 +184,18 @@ grep -q '"mutation": "churn"' "$BUILD_DIR/BENCH_fig_robustness.json"
 grep -q '"mutation": "policy"' "$BUILD_DIR/BENCH_fig_robustness.json"
 grep -q '"mutation_events": [1-9]' "$BUILD_DIR/BENCH_fig_robustness.json"
 
+echo "CI: robustness JSON at epochs 0 and 10 ms vs frozen baselines"
+# Every hostile cell (faults, churn refunds, policy rewrites) at both
+# settlement modes, byte for byte: the fig7/fig8 diffs above run benign
+# only. The JSON is the same at any --threads.
+diff tests/data/robustness_baseline/epoch0.json \
+  "$BUILD_DIR/BENCH_fig_robustness.json"
+SPLICER_BENCH_FAST=1 "$BUILD_DIR/bench_fig_robustness" --settlement-epoch 10 \
+  --json "$BUILD_DIR/BENCH_fig_robustness_epoch10.json" \
+  > "$SMOKE_DIR/robustness_epoch10.txt"
+diff tests/data/robustness_baseline/epoch10.json \
+  "$BUILD_DIR/BENCH_fig_robustness_epoch10.json"
+
 echo "CI: hostile-world rate-0 byte-identity (explicit zero-rate flags)"
 "$BUILD_DIR/splicer_cli" compare --nodes 60 --payments 300 \
   > "$SMOKE_DIR/benign.txt"
@@ -214,6 +228,14 @@ mkdir -p "$SMOKE_DIR/asan-fig8"
 SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/asan-fig8" \
   "$SAN_DIR/bench_fig8_large_scale" --threads 1 > "$SMOKE_DIR/asan-fig8.txt"
 diff -r tests/data/fig8_baseline "$SMOKE_DIR/asan-fig8"
+echo "CI: robustness JSON under ASan+UBSan vs frozen baselines (epochs 0, 10 ms)"
+for epoch in 0 10; do
+  SPLICER_BENCH_FAST=1 "$SAN_DIR/bench_fig_robustness" --settlement-epoch "$epoch" \
+    --json "$SMOKE_DIR/asan-robustness-epoch$epoch.json" \
+    > "$SMOKE_DIR/asan-robustness-epoch$epoch.txt"
+  diff "tests/data/robustness_baseline/epoch$epoch.json" \
+    "$SMOKE_DIR/asan-robustness-epoch$epoch.json"
+done
 
 echo "CI: SPLICER_AUDIT smoke subset (dynamic contract witnesses)"
 AUDIT_DIR="$BUILD_DIR-audit"

@@ -1,7 +1,6 @@
 #include "splicer_lint/call_graph.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <set>
 #include <utility>
@@ -541,67 +540,9 @@ CallGraph CallGraph::build(const std::vector<FileContent>& files) {
   return graph;
 }
 
-std::vector<int> CallGraph::find(std::string_view scope,
-                                 std::string_view name) const {
-  std::vector<int> out;
-  for (std::size_t i = 0; i < functions_.size(); ++i) {
-    if (functions_[i].scope == scope && functions_[i].name == name)
-      out.push_back(static_cast<int>(i));
-  }
-  return out;
-}
-
-std::vector<int> CallGraph::find_by_name(std::string_view name) const {
-  std::vector<int> out;
-  for (std::size_t i = 0; i < functions_.size(); ++i) {
-    if (functions_[i].name == name) out.push_back(static_cast<int>(i));
-  }
-  return out;
-}
-
-CallGraph::Reach CallGraph::reachable_from(const std::vector<int>& roots) const {
-  Reach reach;
-  reach.reachable.assign(functions_.size(), 0);
-  reach.parent.assign(functions_.size(), -1);
-  std::deque<int> queue;
-  for (const int r : roots) {
-    if (r >= 0 && static_cast<std::size_t>(r) < functions_.size() &&
-        reach.reachable[static_cast<std::size_t>(r)] == 0) {
-      reach.reachable[static_cast<std::size_t>(r)] = 1;
-      queue.push_back(r);
-    }
-  }
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    for (const int v : out_edges_[static_cast<std::size_t>(u)]) {
-      if (reach.reachable[static_cast<std::size_t>(v)] == 0) {
-        reach.reachable[static_cast<std::size_t>(v)] = 1;
-        reach.parent[static_cast<std::size_t>(v)] = u;
-        queue.push_back(v);
-      }
-    }
-  }
-  return reach;
-}
-
 std::string CallGraph::qualified_name(int index) const {
   const FunctionDef& def = functions_[static_cast<std::size_t>(index)];
   return def.scope.empty() ? def.name : def.scope + "::" + def.name;
-}
-
-std::string CallGraph::chain(const Reach& reach, int target) const {
-  std::vector<int> path;
-  for (int v = target; v >= 0; v = reach.parent[static_cast<std::size_t>(v)]) {
-    path.push_back(v);
-    if (path.size() > functions_.size()) break;  // defensive
-  }
-  std::string out;
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    if (!out.empty()) out += " -> ";
-    out += qualified_name(*it);
-  }
-  return out;
 }
 
 }  // namespace splicer::lint

@@ -92,23 +92,6 @@ class CallGraph {
     return in_edges_;
   }
 
-  /// All function indices with this (scope, name); scope "" = free.
-  [[nodiscard]] std::vector<int> find(std::string_view scope,
-                                      std::string_view name) const;
-  /// All function indices with this name, any scope.
-  [[nodiscard]] std::vector<int> find_by_name(std::string_view name) const;
-
-  /// Forward reachability over resolved edges. parent[i] is the BFS
-  /// predecessor (-1 for roots and unreached nodes) for chain messages.
-  struct Reach {
-    std::vector<char> reachable;
-    std::vector<int> parent;
-  };
-  [[nodiscard]] Reach reachable_from(const std::vector<int>& roots) const;
-
-  /// "root -> ... -> target" qualified-name chain from a Reach result.
-  [[nodiscard]] std::string chain(const Reach& reach, int target) const;
-
   /// "Scope::name" or "name" for diagnostics.
   [[nodiscard]] std::string qualified_name(int index) const;
 

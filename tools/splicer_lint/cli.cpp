@@ -13,9 +13,8 @@ void print_usage(std::ostream& err) {
   err << "usage: splicer_lint [options] <path>...\n"
          "\n"
          "Two-phase static analysis of the repo's determinism and\n"
-         "memory-safety contracts: per-file token rules plus call-graph\n"
-         "rules (hotpath-alloc, slab-alias-escape) over src/. Suppress a\n"
-         "finding with\n"
+         "memory-safety contracts: per-file token rules plus a call-graph\n"
+         "rule (slab-alias-escape) over src/. Suppress a finding with\n"
          "  // SPLICER_LINT_ALLOW(<rule-id>): <non-empty reason>\n"
          "on the offending line or the comment line directly above it;\n"
          "stale suppressions are findings themselves.\n"

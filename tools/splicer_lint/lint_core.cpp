@@ -42,10 +42,6 @@ const std::vector<RuleInfo>& rule_table() {
       {"slab-alias", "src/routing",
        "no retained reference into Engine slab state across a relocation "
        "point (send_tu/fail_payment); no send_tu from on_tu_forwarded"},
-      {"hotpath-alloc", "src/sim, src/routing, src/pcn (call graph)",
-       "no allocation (new/make_unique/container or string construction/"
-       "reserve/resize) reachable from Engine::handle_event or on_timer "
-       "overrides without a reasoned allow"},
       {"slab-alias-escape", "src/routing (call graph)",
        "no slab reference passed into a callee that transitively reaches "
        "send_tu/fail_payment — the callee may relocate the slab it aliases"},

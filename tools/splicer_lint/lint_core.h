@@ -42,8 +42,8 @@
 //                    send_tu must never be dispatched from inside
 //                    on_tu_forwarded (whose TU aliases the live_ slab).
 //
-// Call-graph rules (tree runs only — see rules_interproc.h for the
-// contracts): hotpath-alloc, slab-alias-escape.
+// Call-graph rule (tree runs only — see rules_interproc.h for the
+// contract): slab-alias-escape.
 //
 // Suppression: a finding is allowed by a comment on the same line, or on a
 // comment-only line directly above the offending code, of the form

@@ -4,23 +4,14 @@
 #include <deque>
 #include <map>
 #include <regex>
-#include <set>
 #include <string>
 #include <utility>
 
 namespace splicer::lint {
 namespace {
 
-constexpr std::string_view kHotDirs[] = {"src/sim/", "src/routing/",
-                                         "src/pcn/"};
-
 bool path_in(std::string_view path, std::string_view prefix) {
   return path.size() > prefix.size() && path.substr(0, prefix.size()) == prefix;
-}
-
-bool in_hot_dirs(std::string_view path) {
-  return std::any_of(std::begin(kHotDirs), std::end(kHotDirs),
-                     [&](std::string_view d) { return path_in(path, d); });
 }
 
 using SourceMap = std::map<std::string, const std::vector<ScrubbedLine>*>;
@@ -79,88 +70,6 @@ EdgeMap edge_map(const CallGraph& graph) {
     map[{e.caller, e.call_index}].push_back(e.callee);
   }
   return map;
-}
-
-// ---------------------------------------------------------------------------
-// hotpath-alloc
-// ---------------------------------------------------------------------------
-
-void check_hotpath_alloc(const CallGraph& graph, const SourceMap& sources,
-                         std::vector<Finding>& out) {
-  std::vector<int> roots;
-  for (const int r : graph.find("Engine", "handle_event")) roots.push_back(r);
-  for (const int r : graph.find_by_name("on_timer")) roots.push_back(r);
-  if (roots.empty()) return;
-  const CallGraph::Reach reach = graph.reachable_from(roots);
-
-  struct AllocPattern {
-    std::regex re;
-    const char* what;
-  };
-  // `new` / make_unique / make_shared; std container or std::string
-  // construction (a mention whose template close is followed by a variable
-  // name, brace or paren — `const std::vector<T>&` parameters and
-  // `vector<T>::iterator` uses do not construct and are skipped below);
-  // explicit capacity operations.
-  static const std::regex kNew(R"((^|[^:\w])new\b)");
-  static const std::regex kMake(R"(\bmake_(?:unique|shared)\b)");
-  static const std::regex kContainer(
-      R"(\bstd\s*::\s*(vector|deque|list|map|set|multimap|multiset|unordered_map|unordered_set|basic_string|priority_queue|queue|stack)\s*<)");
-  static const std::regex kString(R"(\bstd\s*::\s*string\s*(\s[A-Za-z_]|[({]))");
-  static const std::regex kCapacity(R"(\.\s*(reserve|resize)\s*\()");
-
-  const std::vector<FunctionDef>& funcs = graph.functions();
-  std::set<std::pair<std::string, int>> seen;  // one finding per (file, line)
-  for (std::size_t fi = 0; fi < funcs.size(); ++fi) {
-    if (reach.reachable[fi] == 0) continue;
-    const FunctionDef& def = funcs[fi];
-    if (!in_hot_dirs(def.file)) continue;
-    const std::string chain = graph.chain(reach, static_cast<int>(fi));
-    for_each_body_line(def, sources, [&](int ln, const std::string& code) {
-      const char* what = nullptr;
-      if (std::regex_search(code, kNew)) what = "operator new";
-      else if (std::regex_search(code, kMake)) what = "make_unique/make_shared";
-      else if (std::regex_search(code, kCapacity)) what = "reserve/resize";
-      else if (std::regex_search(code, kString)) what = "std::string construction";
-      else {
-        std::smatch m;
-        if (std::regex_search(code, m, kContainer)) {
-          // Skip pure type mentions: find the matching '>' on this line and
-          // look at what follows — '&' or '*' binds a reference/pointer,
-          // "::" names a nested type; both are allocation-free.
-          const std::size_t open =
-              static_cast<std::size_t>(m.position(0)) + m.length(0) - 1;
-          int depth = 0;
-          std::size_t close = std::string::npos;
-          for (std::size_t i = open; i < code.size(); ++i) {
-            if (code[i] == '<') ++depth;
-            else if (code[i] == '>') {
-              if (--depth == 0) { close = i; break; }
-            }
-          }
-          bool constructs = true;
-          if (close != std::string::npos) {
-            std::size_t next = code.find_first_not_of(" \t", close + 1);
-            if (next != std::string::npos &&
-                (code[next] == '&' || code[next] == '*' ||
-                 code.compare(next, 2, "::") == 0)) {
-              constructs = false;
-            }
-          }
-          if (constructs) what = "std container construction";
-        }
-      }
-      if (what == nullptr) return;
-      if (!seen.insert({def.file, ln}).second) return;
-      add(out, def.file, ln, "hotpath-alloc",
-          std::string("allocation on the hot event path (") + what + ") in " +
-              graph.qualified_name(static_cast<int>(fi)) +
-              ", reachable via " + chain +
-              " — hoist into per-engine scratch or a pool, or annotate with "
-              "SPLICER_LINT_ALLOW(hotpath-alloc): <why this site is "
-              "amortised/cold>");
-    });
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -243,7 +152,6 @@ std::vector<Finding> interprocedural_findings(
     const CallGraph& graph, const std::vector<ScrubbedSource>& sources) {
   const SourceMap map = index_sources(sources);
   std::vector<Finding> out;
-  check_hotpath_alloc(graph, map, out);
   check_slab_alias_escape(graph, map, out);
   return out;
 }
