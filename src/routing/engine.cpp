@@ -121,11 +121,10 @@ void Engine::handle_event(const sim::EngineEvent& event) {
       state.queued_value -= pos->amount;
       state.queue.erase(pos);
       check_queue_invariant(channel, d);
-      LiveTu* live = live_.find(id);
+      const LiveTu* live = live_.find(id);
       // Stale (resolved elsewhere): the accounting was released above and
       // there is nothing left to fail.
       if (live == nullptr || live->resolved) break;
-      live->tu.marked = true;
       fail_tu(id, FailReason::kMarkedCongested);
       break;
     }
@@ -419,7 +418,6 @@ TuId Engine::send_tu(const TransactionUnit& tu) {
   LiveTu live{.tu = tu};
   live.tu.id = next_tu_id_++;
   live.tu.next_hop = 0;
-  live.tu.created_at = scheduler_.now();
   const TuId id = live.tu.id;
 
   // Orphan-tolerant: a router may keep dispatching splits of a payment
@@ -743,7 +741,6 @@ void Engine::enqueue(TuId id, ChannelId channel, pcn::Direction d) {
   }
   QueuedTu queued;
   queued.id = id;
-  queued.enqueued_at = scheduler_.now();
   queued.amount = amount;
   // Congestion marking: if still queued after T, mark & abort (eq. 27 path,
   // handled by the kMark branch of handle_event).

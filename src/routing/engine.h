@@ -292,7 +292,6 @@ class Engine : private sim::EventSink {
   };
   struct QueuedTu {
     TuId id;
-    double enqueued_at;
     Amount amount;  // hop amount charged against queued_value at enqueue
     sim::Scheduler::EventId mark_event;
   };

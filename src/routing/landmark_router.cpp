@@ -123,7 +123,7 @@ void LandmarkRouter::on_payment(Engine& engine, const pcn::Payment& payment) {
     engine.fail_payment(payment.id, obstruction.value_or(FailReason::kNoPath));
     return;
   }
-  retries_left_[payment.id] = config_.chunk_retries * count;
+  *retries_left_.emplace(payment.id, 0).first = config_.chunk_retries * count;
   // Equal chunks, remainder on the first path.
   const auto k = static_cast<Amount>(count);
   const Amount base = payment.value / k;
@@ -150,12 +150,13 @@ void LandmarkRouter::on_tu_failed(Engine& engine, const TransactionUnit& tu,
   // resolved == nothing left to retry.
   const auto* state = engine.find_payment_state(tu.payment);
   if (state == nullptr || !state->active()) return;
-  auto& retries = retries_left_[tu.payment];
-  if (retries == 0) {
+  // A payment without an entry has no retries left.
+  std::size_t* retries = retries_left_.find(tu.payment);
+  if (retries == nullptr || *retries == 0) {
     engine.fail_payment(tu.payment, FailReason::kInsufficientFunds);
     return;
   }
-  --retries;
+  --*retries;
   // Retry the chunk through a different landmark.
   const std::size_t next_index =
       (tu.path_index + 1 + engine.rng().index(landmarks_.size() - 1)) %

@@ -5,9 +5,9 @@
 // payment travels sender -> landmark_i -> receiver along shortest paths,
 // one equal value chunk per landmark, sent atomically with no retries.
 
-#include <unordered_map>
 #include <vector>
 
+#include "common/dense_id_map.h"
 #include "routing/engine.h"
 #include "routing/router.h"
 
@@ -60,9 +60,7 @@ class LandmarkRouter final : public Router {
   // Per landmark: BFS parent forest (parent node + connecting edge).
   std::vector<std::vector<NodeId>> parent_;
   std::vector<std::vector<graph::EdgeId>> parent_edge_;
-  // SPLICER_LINT_ALLOW(unordered-decl): keyed lookup/erase by PaymentId only,
-  // never iterated; retry bookkeeping order cannot reach the event stream.
-  std::unordered_map<PaymentId, std::size_t> retries_left_;
+  common::DenseIdMap<std::size_t> retries_left_;
   // Path scratch, kept for its capacity. on_payment's candidates (the
   // first ones of candidates_) and on_tu_failed's retry path are apart: a
   // chunk can fail inside on_payment's send_tu and retry from there.

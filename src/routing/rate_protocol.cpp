@@ -82,56 +82,69 @@ void RateRouterBase::admit_demand(Engine& engine, const pcn::Payment& payment) {
     engine.fail_payment(payment.id, FailReason::kNoPath);
     return;
   }
-  pair_of_payment_[payment.id] = pair;
-  pairs_[pair].demands.push_back(DemandEntry{payment.id, payment.value});
+  *pair_of_payment_.emplace(payment.id, pair).first = pair;
+  demand_pool_.push_back(pairs_[pair].demands, DemandEntry{payment.id, payment.value});
   for (std::size_t i = 0; i < pairs_[pair].path_count; ++i) {
     schedule_drip(engine, pair, i);
   }
 }
 
-std::uint32_t RateRouterBase::ensure_pair(Engine& engine, const PairKey& pair) {
-  const auto it = pair_index_.find(pack_pair(pair));
-  if (it != pair_index_.end()) return it->second;
+std::vector<std::uint32_t>::const_iterator RateRouterBase::sweep_position(
+    const PairKey& key) const {
+  return std::lower_bound(
+      sweep_order_.begin(), sweep_order_.end(), key,
+      [this](std::uint32_t i, const PairKey& k) { return pairs_[i].key < k; });
+}
 
-  const std::vector<graph::Path> pair_paths = compute_pair_paths(engine, pair);
+std::uint32_t RateRouterBase::ensure_pair(Engine& engine, const PairKey& pair) {
+#ifdef SPLICER_AUDIT
+  if (audit_slice_held_) {
+    throw std::logic_error("RateRouterBase: ensure_pair ran while try_send held a path slice");
+  }
+#endif
+  const auto at = sweep_position(pair);
+  if (at != sweep_order_.end() && pairs_[*at].key == pair) return *at;
+  const auto sweep_index = at - sweep_order_.begin();
+
+  const std::vector<graph::Path>& pair_paths = compute_pair_paths(engine, pair);
   const auto first_path = static_cast<std::uint32_t>(rate_tps_.size());
   for (const auto& p : pair_paths) {
-    auto full = assemble_path(engine, pair.from, pair.to, p);
-    if (!full || full->edges.empty()) continue;
+    graph::Path& full = assembled_;
+    if (!assemble_path(engine, pair.from, pair.to, p, full) || full.edges.empty()) {
+      continue;
+    }
     // One pass per hop fetches the channel record once for both the
     // capacity constraint (eq. 18: the sustained rate on a channel cannot
     // exceed c_ab / Delta; start at most there) and the directed hop index.
     double bottleneck = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < full->edges.size(); ++i) {
-      const ChannelId e = full->edges[i];
+    for (std::size_t i = 0; i < full.edges.size(); ++i) {
+      const ChannelId e = full.edges[i];
       const auto& ch = engine.network().channel(e);
       bottleneck = std::min(bottleneck, common::to_tokens(ch.capacity()));
-      const auto d = ch.direction_from(full->nodes[i]);
+      const auto d = ch.direction_from(full.nodes[i]);
       hops_.push_back(static_cast<std::uint32_t>(2 * e + pcn::dir_index(d)));
     }
     hop_begin_.push_back(static_cast<std::uint32_t>(hops_.size()));
+    path_nodes_.insert(path_nodes_.end(), full.nodes.begin(), full.nodes.end());
+    path_edges_.insert(path_edges_.end(), full.edges.begin(), full.edges.end());
     const double capacity_rate = bottleneck / std::max(config_.delta_rtt_s, 1e-6);
     rate_tps_.push_back(std::min(config_.initial_rate_tps, capacity_rate));
     outstanding_.push_back(0);
     pacing_.push_back(PathPacing{.window = config_.initial_window});
-    full_paths_.push_back(std::move(*full));
   }
   const auto path_count = static_cast<std::uint32_t>(rate_tps_.size()) - first_path;
   if (path_count == 0) return kNoPair;
   const auto index = static_cast<std::uint32_t>(pairs_.size());
   pairs_.push_back(PairState{pair, first_path, path_count, {}});
-  const auto at = std::lower_bound(
-      sweep_order_.begin(), sweep_order_.end(), pair,
-      [this](std::uint32_t i, const PairKey& key) { return pairs_[i].key < key; });
-  sweep_order_.insert(at, index);
-  pair_index_.emplace(pack_pair(pair), index);
+  sweep_order_.insert(sweep_order_.begin() + sweep_index, index);
   return index;
 }
 
-std::vector<graph::Path> RateRouterBase::compute_pair_paths(
-    Engine& engine, const PairKey& pair) const {
-  return graph::select_paths(engine.network().topology(), pair.from, pair.to,
-                             config_.k_paths, config_.path_type);
+const std::vector<graph::Path>& RateRouterBase::compute_pair_paths(
+    Engine& engine, const PairKey& pair) {
+  pair_paths_ = graph::select_paths(engine.network().topology(), pair.from, pair.to,
+                                    config_.k_paths, config_.path_type);
+  return pair_paths_;
 }
 
 void RateRouterBase::update_prices(Engine& engine) {
@@ -195,6 +208,9 @@ double RateRouterBase::path_price(std::uint32_t path) const {
 }
 
 void RateRouterBase::probe_pairs(Engine& engine) {
+#ifdef SPLICER_AUDIT
+  audit_demand_pool();
+#endif
   // Pass 1, rates: a pair's update reads only its own paths and this
   // tick's price array, so pairs go in storage order — a linear scan of
   // the flat per-path arrays.
@@ -234,9 +250,10 @@ void RateRouterBase::probe_pairs(Engine& engine) {
 std::vector<RateRouterBase::PathDiagnostics> RateRouterBase::pair_diagnostics(
     NodeId from, NodeId to) const {
   std::vector<PathDiagnostics> out;
-  const auto it = pair_index_.find(pack_pair(PairKey{from, to}));
-  if (it == pair_index_.end()) return out;
-  const PairState& pair = pairs_[it->second];
+  const PairKey key{from, to};
+  const auto at = sweep_position(key);
+  if (at == sweep_order_.end() || pairs_[*at].key != key) return out;
+  const PairState& pair = pairs_[*at];
   for (std::uint32_t p = pair.first_path; p < pair.first_path + pair.path_count;
        ++p) {
     out.push_back(PathDiagnostics{rate_tps_[p], pacing_[p].window, path_price(p),
@@ -303,28 +320,38 @@ void RateRouterBase::try_send(Engine& engine, std::uint32_t pair,
   auto& demands = pairs_[pair].demands;
   const PaymentState* front_state = nullptr;
   while (!demands.empty()) {
-    const auto& front = demands.front();
+    const auto& front = demand_pool_.front(demands);
     front_state = engine.find_payment_state(front.payment);
     if (front.remaining <= 0 || front_state == nullptr ||
         !front_state->active()) {
-      demands.pop_front();
+      demand_pool_.pop_front(demands);
       continue;
     }
     break;
   }
   if (demands.empty()) return;
+  // The path store does not move until the next ensure_pair, which nothing
+  // below reaches: send_tu copies the slice before any hook runs.
+  const graph::PathView full = full_path(path);
+#ifdef SPLICER_AUDIT
+  audit_slice_held_ = true;
+  struct SliceRelease {
+    bool& held;
+    ~SliceRelease() { held = false; }
+  } slice_release{audit_slice_held_};
+#endif
   // Hostile-world dispatch gate: the pair's path set is computed once, so a
   // mutation obstructing this path (closed channel, offline node, timelock
   // over budget) is discovered here, at send time, against current network
   // state — hold and retry like a funds-short admit; a reopened channel or
   // recovered node makes the path usable again with no path recompute.
-  if (path_obstruction(engine.network(), full_paths_[path],
+  if (path_obstruction(engine.network(), full,
                        engine.config().hostile.timelock_budget)) {
     pacing_[path].hold_until = std::max(pacing_[path].hold_until, engine.now() + 0.05);
     schedule_drip(engine, pair, path_index);
     return;
   }
-  auto& entry = demands.front();
+  auto& entry = demand_pool_.front(demands);
   const auto& payment_state = *front_state;
 
   // TU sizing: Min-TU <= |d_i| <= Max-TU, avoiding a sub-Min-TU crumb.
@@ -339,7 +366,7 @@ void RateRouterBase::try_send(Engine& engine, std::uint32_t pair,
   tu_value = std::max<Amount>(tu_value, 1);
 
   const auto& hop_amounts = fee_schedule(engine.network(), path, tu_value);
-  if (!admit_tu(engine, full_paths_[path], hop_amounts)) {
+  if (!admit_tu(engine, full, hop_amounts)) {
     // Downstream funds are short (F_ab < |d_i|): hold at the source and
     // retry shortly instead of locking a doomed HTLC chain.
     pacing_[path].hold_until = std::max(pacing_[path].hold_until, engine.now() + 0.05);
@@ -347,11 +374,11 @@ void RateRouterBase::try_send(Engine& engine, std::uint32_t pair,
     return;
   }
 
-  // Views of the path cache and the fee scratch: send_tu copies both.
+  // Views of the path store and the fee scratch: send_tu copies both.
   TransactionUnit tu;
   tu.payment = entry.payment;
   tu.value = tu_value;
-  tu.path = full_paths_[path];
+  tu.path = full;
   tu.hop_amounts = hop_amounts;
   tu.deadline = payment_state.payment.deadline;
   tu.path_index = path_index;
@@ -366,9 +393,9 @@ void RateRouterBase::try_send(Engine& engine, std::uint32_t pair,
 }
 
 void RateRouterBase::on_tu_delivered(Engine& engine, const TransactionUnit& tu) {
-  const auto it = pair_of_payment_.find(tu.payment);
-  if (it == pair_of_payment_.end()) return;
-  const std::uint32_t pair = it->second;
+  const std::uint32_t* found = pair_of_payment_.find(tu.payment);
+  if (found == nullptr) return;
+  const std::uint32_t pair = *found;
   const std::uint32_t begin = pairs_[pair].first_path;
   const std::uint32_t end = begin + pairs_[pair].path_count;
   const std::uint32_t path = path_id(pair, tu.path_index);
@@ -384,9 +411,9 @@ void RateRouterBase::on_tu_delivered(Engine& engine, const TransactionUnit& tu) 
 
 void RateRouterBase::on_tu_failed(Engine& engine, const TransactionUnit& tu,
                                   FailReason reason) {
-  const auto it = pair_of_payment_.find(tu.payment);
-  if (it == pair_of_payment_.end()) return;
-  const std::uint32_t pair = it->second;
+  const std::uint32_t* found = pair_of_payment_.find(tu.payment);
+  if (found == nullptr) return;
+  const std::uint32_t pair = *found;
   const std::uint32_t path = path_id(pair, tu.path_index);
   if (outstanding_[path] > 0) --outstanding_[path];
   if (reason == FailReason::kMarkedCongested ||
@@ -399,7 +426,7 @@ void RateRouterBase::on_tu_failed(Engine& engine, const TransactionUnit& tu,
   const auto* payment_state = engine.find_payment_state(tu.payment);
   if (payment_state != nullptr && payment_state->active() &&
       engine.now() < payment_state->payment.deadline) {
-    pairs_[pair].demands.push_front(DemandEntry{tu.payment, tu.value});
+    demand_pool_.push_front(pairs_[pair].demands, DemandEntry{tu.payment, tu.value});
   }
   for (std::size_t i = 0; i < pairs_[pair].path_count; ++i) {
     schedule_drip(engine, pair, i);
@@ -422,5 +449,25 @@ void RateRouterBase::on_tu_forwarded(Engine& engine, const TransactionUnit& tu,
   prices_.at(channel).arrived_tokens[pcn::dir_index(direction)] +=
       common::to_tokens(tu.hop_amounts[tu.next_hop]);
 }
+
+#ifdef SPLICER_AUDIT
+std::size_t RateRouterBase::DemandPool::length(std::uint32_t node) const {
+  std::size_t count = 0;
+  for (; node != kNone; node = nodes_[node].next) {
+    if (++count > nodes_.size()) {
+      throw std::logic_error("RateRouterBase: demand list has a cycle");
+    }
+  }
+  return count;
+}
+
+void RateRouterBase::audit_demand_pool() const {
+  std::size_t nodes = demand_pool_.free_length();
+  for (const PairState& pair : pairs_) nodes += demand_pool_.length(pair.demands.head);
+  if (nodes != demand_pool_.size()) {
+    throw std::logic_error("RateRouterBase: demand pool leaked or shared a node");
+  }
+}
+#endif
 
 }  // namespace splicer::routing

@@ -17,10 +17,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
+#include "common/dense_id_map.h"
 #include "graph/disjoint_paths.h"
 #include "routing/engine.h"
 #include "routing/router.h"
@@ -132,13 +132,14 @@ class RateRouterBase : public Router {
   [[nodiscard]] virtual PairKey pair_of(const Engine& engine,
                                         const pcn::Payment& payment) const = 0;
 
-  /// Wraps a pair-level path into the full client-to-client path (Splicer
-  /// prepends/appends the client spokes; Spider returns it unchanged).
-  /// Called once per pair at path-set creation; probes, fees and TUs all
-  /// use the full path.
-  [[nodiscard]] virtual std::optional<graph::Path> assemble_path(
-      Engine& engine, NodeId from, NodeId to, const graph::Path& pair_path)
-      const = 0;
+  /// Writes the full client-to-client path of a pair-level path into
+  /// `full`, overwriting its nodes and edges but reusing their capacity
+  /// (Splicer prepends/appends the client spokes; Spider copies it
+  /// unchanged). False when the path is unusable. Called once per path at
+  /// path-set creation; probes, fees and TUs all use the full path.
+  [[nodiscard]] virtual bool assemble_path(Engine& engine, NodeId from, NodeId to,
+                                           const graph::Path& pair_path,
+                                           graph::Path& full) const = 0;
 
   /// Seconds of routing-decision latency before the payment's demand is
   /// admitted (models end-host route computation for Spider; ~0 for hubs).
@@ -149,17 +150,18 @@ class RateRouterBase : public Router {
     return 0.0;
   }
 
-  /// Computes the k pair-level paths. Default: select_paths on the engine
-  /// topology with the configured path type.
-  [[nodiscard]] virtual std::vector<graph::Path> compute_pair_paths(
-      Engine& engine, const PairKey& pair) const;
+  /// The k pair-level paths, read by ensure_pair before its next call.
+  /// Default: select_paths on the engine topology with the configured path
+  /// type, held in a member the next call overwrites.
+  [[nodiscard]] virtual const std::vector<graph::Path>& compute_pair_paths(
+      Engine& engine, const PairKey& pair);
 
   /// Source-side admission (paper Alg. 2 line 10, F_ab < |d_i|): whether a
   /// TU with these hop amounts may be dispatched now. Splicer's smooth
   /// nodes see (epoch-synchronised) global state and hold the TU at the
   /// source when a downstream channel lacks funds; source-routing senders
   /// (Spider) have no such view and always dispatch.
-  [[nodiscard]] virtual bool admit_tu(Engine& engine, const graph::Path& path,
+  [[nodiscard]] virtual bool admit_tu(Engine& engine, graph::PathView path,
                                       const std::vector<Amount>& hop_amounts) {
     (void)engine;
     (void)path;
@@ -201,26 +203,99 @@ class RateRouterBase : public Router {
     PaymentId payment = 0;
     Amount remaining = 0;
   };
+  /// Every pair's demand FIFO, threaded through one node vector: a pair
+  /// holds only the head and tail ids of its list, and popped nodes go on a
+  /// free list that the next push reuses, so the pool grows to the peak
+  /// number of queued demands and no further.
+  class DemandPool {
+   public:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    struct Fifo {
+      std::uint32_t head = kNone;
+      std::uint32_t tail = kNone;
+      [[nodiscard]] bool empty() const noexcept { return head == kNone; }
+    };
+
+    /// The oldest entry; valid until the next push (a push may grow the
+    /// node vector).
+    [[nodiscard]] DemandEntry& front(const Fifo& fifo) { return nodes_[fifo.head].entry; }
+    void push_back(Fifo& fifo, DemandEntry entry) {
+      const std::uint32_t node = acquire(entry);
+      if (fifo.empty()) {
+        fifo.head = node;
+      } else {
+        nodes_[fifo.tail].next = node;
+      }
+      fifo.tail = node;
+    }
+    void push_front(Fifo& fifo, DemandEntry entry) {
+      const std::uint32_t node = acquire(entry);
+      nodes_[node].next = fifo.head;
+      fifo.head = node;
+      if (fifo.tail == kNone) fifo.tail = node;
+    }
+    void pop_front(Fifo& fifo) {
+      const std::uint32_t node = fifo.head;
+      fifo.head = nodes_[node].next;
+      if (fifo.head == kNone) fifo.tail = kNone;
+      nodes_[node].next = free_;
+      free_ = node;
+    }
+#ifdef SPLICER_AUDIT
+    /// Nodes on the list starting at `node` (kNone: none); throws once the
+    /// walk passes the pool size, which only a cycle can do.
+    [[nodiscard]] std::size_t length(std::uint32_t node) const;
+    [[nodiscard]] std::size_t free_length() const { return length(free_); }
+    [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+#endif
+
+   private:
+    struct Node {
+      DemandEntry entry;
+      std::uint32_t next = kNone;
+    };
+    std::uint32_t acquire(DemandEntry entry) {
+      std::uint32_t node = free_;
+      if (node == kNone) {
+        node = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.emplace_back();
+      } else {
+        free_ = nodes_[node].next;
+      }
+      nodes_[node] = Node{entry, kNone};
+      return node;
+    }
+    std::vector<Node> nodes_;
+    std::uint32_t free_ = kNone;
+  };
   /// One (from, to) pair; its paths are the path ids
   /// [first_path, first_path + path_count).
   struct PairState {
     PairKey key;
     std::uint32_t first_path = 0;
     std::uint32_t path_count = 0;
-    std::deque<DemandEntry> demands;
+    DemandPool::Fifo demands;
   };
   static constexpr std::uint32_t kNoPair = ~std::uint32_t{0};
-
-  [[nodiscard]] static constexpr std::uint64_t pack_pair(PairKey pair) noexcept {
-    return (static_cast<std::uint64_t>(pair.from) << 32) | pair.to;
-  }
 
   void admit_demand(Engine& engine, const pcn::Payment& payment);
   /// Index of the pair in pairs_, creating it (and its paths) on first
   /// touch; kNoPair if no usable path exists. The one insert: it appends to
-  /// pairs_ and every per-path array, so callers re-index after it and hold
-  /// no reference into that storage across it.
+  /// pairs_, the path store and every per-path array, so callers re-index
+  /// after it and hold no reference or slice into that storage across it.
   std::uint32_t ensure_pair(Engine& engine, const PairKey& pair);
+  /// Position in sweep_order_ of the first pair not below `key`.
+  [[nodiscard]] std::vector<std::uint32_t>::const_iterator sweep_position(
+      const PairKey& key) const;
+  /// The full client -> ... -> client path of a path id: a slice of the
+  /// path store, valid until the next ensure_pair (whose appends may
+  /// relocate the store).
+  [[nodiscard]] graph::PathView full_path(std::uint32_t path) const {
+    const std::uint32_t begin = hop_begin_[path];
+    const std::uint32_t hops = hop_begin_[path + 1] - begin;
+    return {std::span(path_nodes_).subspan(begin + path, hops + 1),
+            std::span(path_edges_).subspan(begin, hops)};
+  }
   /// Eqs. (21)-(22) over every channel, then the flat price mirror.
   void update_prices(Engine& engine);
   /// Eqs. (25)-(26) over every pair in storage order, then the drips of
@@ -268,20 +343,21 @@ class RateRouterBase : public Router {
 
   /// Every pair ever admitted, in creation order. Append-only (ensure_pair
   /// is the one insert, nothing erases), so a pair's index is stable for
-  /// the router's lifetime. A deque, so growth never relocates a pair: a
-  /// std::deque of demands allocates when moved, and a vector's growth
-  /// would rebuild every pair's queue at once.
-  std::deque<PairState> pairs_;
+  /// the router's lifetime. Trivially copyable records: the demand queues
+  /// live in demand_pool_.
+  std::vector<PairState> pairs_;
+  DemandPool demand_pool_;
   /// pairs_ indices sorted by PairKey, kept sorted by ensure_pair's binary-
-  /// search insert. The one order-sensitive structure: probe_pairs
-  /// schedules drips in this order, the sorted pair order the frozen event
-  /// stream was recorded with.
+  /// search insert; ensure_pair and pair_diagnostics find a pair by binary
+  /// search here. The one order-sensitive structure: probe_pairs schedules
+  /// drips in this order, the sorted pair order the frozen event stream was
+  /// recorded with.
   std::vector<std::uint32_t> sweep_order_;
   // Per-path state, indexed by path id; a pair's paths are one contiguous
-  // id range, so the tau sweep is a linear scan of these arrays. The two
-  // largest per-path records, pacing_ and full_paths_, are never swept and
-  // live in deques: they grow in fixed chunks instead of by doubling, whose
-  // freed blocks fragmented the heap over many runs in one process.
+  // id range, so the tau sweep is a linear scan of these arrays. The
+  // largest per-path record, pacing_, is never swept and lives in a deque:
+  // it grows in fixed chunks instead of by doubling, whose freed blocks
+  // fragmented the heap over many runs in one process.
   std::vector<double> rate_tps_;
   std::vector<std::uint32_t> outstanding_;
   std::deque<PathPacing> pacing_;
@@ -292,15 +368,26 @@ class RateRouterBase : public Router {
   /// hops_[hop_begin_[p], hop_begin_[p + 1]).
   std::vector<std::uint32_t> hops_;
   std::vector<std::uint32_t> hop_begin_{0};
-  /// The full client -> ... -> client path of each path id; try_send's
-  /// TUs view it, and send_tu copies it.
-  std::deque<graph::Path> full_paths_;
-  // SPLICER_LINT_ALLOW(unordered-decl): keyed O(1) pair-index lookup by
-  // packed PairKey; never iterated — the sweep order is sweep_order_.
-  std::unordered_map<std::uint64_t, std::uint32_t> pair_index_;
-  // SPLICER_LINT_ALLOW(unordered-decl): keyed lookup/erase by PaymentId only,
-  // never iterated; iteration order cannot reach the event stream.
-  std::unordered_map<PaymentId, std::uint32_t> pair_of_payment_;
+  /// The path store: the full path of every path id, in CSR form. Path p's
+  /// edges are path_edges_[hop_begin_[p], hop_begin_[p + 1]) and its nodes
+  /// the one-longer run starting at path_nodes_[hop_begin_[p] + p].
+  /// try_send's TUs view a slice (full_path), and send_tu copies it.
+  std::vector<NodeId> path_nodes_;
+  std::vector<ChannelId> path_edges_;
+  /// ensure_pair's reused buffers: the default compute_pair_paths result
+  /// and the path assemble_path writes.
+  std::vector<graph::Path> pair_paths_;
+  graph::Path assembled_;
+  /// The pair of each admitted payment, until on_payment_resolved.
+  common::DenseIdMap<std::uint32_t> pair_of_payment_;
+#ifdef SPLICER_AUDIT
+  /// SPLICER_AUDIT witnesses. try_send holds a slice of the path store from
+  /// the obstruction check until send_tu returns; ensure_pair throws if it
+  /// runs inside that span. Each tau tick checks that the nodes on every
+  /// pair's demand list plus the free list add up to the pool size.
+  bool audit_slice_held_ = false;
+  void audit_demand_pool() const;
+#endif
   /// fee_schedule's output buffer: one live schedule at a time (try_send
   /// hands it to send_tu, which copies it, before the next call), so
   /// capacity reaches the longest path's hop count once and stays there.

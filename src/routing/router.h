@@ -72,8 +72,6 @@ struct TransactionUnit {
   graph::PathView path;
   std::span<const Amount> hop_amounts;
   std::size_t next_hop = 0;  // index of the edge about to be locked
-  bool marked = false;
-  double created_at = 0.0;
   double deadline = 0.0;
   std::size_t path_index = 0;  // which of its payment's k paths
 };

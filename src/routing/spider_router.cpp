@@ -13,13 +13,15 @@ RateRouterBase::PairKey SpiderRouter::pair_of(const Engine& engine,
   return PairKey{payment.sender, payment.receiver};
 }
 
-std::optional<graph::Path> SpiderRouter::assemble_path(
-    Engine& engine, NodeId from, NodeId to, const graph::Path& pair_path) const {
+bool SpiderRouter::assemble_path(Engine& engine, NodeId from, NodeId to,
+                                 const graph::Path& pair_path,
+                                 graph::Path& full) const {
   (void)engine;
   (void)from;
   (void)to;
-  if (pair_path.edges.empty()) return std::nullopt;
-  return pair_path;
+  full.nodes = pair_path.nodes;
+  full.edges = pair_path.edges;
+  return !full.edges.empty();
 }
 
 double SpiderRouter::decision_delay(Engine& engine, const pcn::Payment& payment) {

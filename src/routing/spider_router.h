@@ -40,9 +40,9 @@ class SpiderRouter final : public RateRouterBase {
  protected:
   [[nodiscard]] PairKey pair_of(const Engine& engine,
                                 const pcn::Payment& payment) const override;
-  [[nodiscard]] std::optional<graph::Path> assemble_path(
-      Engine& engine, NodeId from, NodeId to,
-      const graph::Path& pair_path) const override;
+  [[nodiscard]] bool assemble_path(Engine& engine, NodeId from, NodeId to,
+                                   const graph::Path& pair_path,
+                                   graph::Path& full) const override;
   [[nodiscard]] double decision_delay(Engine& engine,
                                       const pcn::Payment& payment) override;
 

@@ -45,30 +45,26 @@ RateRouterBase::PairKey SplicerRouter::pair_of(const Engine& engine,
   return PairKey{payment.sender, payment.receiver};
 }
 
-std::vector<graph::Path> SplicerRouter::compute_pair_paths(
-    Engine& engine, const PairKey& pair) const {
+const std::vector<graph::Path>& SplicerRouter::compute_pair_paths(
+    Engine& engine, const PairKey& pair) {
   const NodeId hub_s = hub_of_.at(pair.from);
   const NodeId hub_e = hub_of_.at(pair.to);
-  const auto key = std::make_pair(hub_s, hub_e);
-  const auto it = hub_path_cache_.find(key);
-  if (it != hub_path_cache_.end()) return it->second;
-
-  std::vector<graph::Path> paths;
+  const auto [it, inserted] =
+      hub_path_cache_.try_emplace(std::make_pair(hub_s, hub_e));
+  std::vector<graph::Path>& paths = it->second;
+  if (!inserted) return paths;
   if (hub_s == hub_e) {
     // Both clients on one hub: the hub segment is the hub itself.
-    graph::Path trivial;
-    trivial.nodes.push_back(hub_s);
-    paths.push_back(std::move(trivial));
+    paths.emplace_back().nodes.push_back(hub_s);
   } else {
     paths = graph::select_paths(engine.network().topology(), hub_s, hub_e,
                                 protocol_config().k_paths,
                                 protocol_config().path_type);
   }
-  hub_path_cache_.emplace(key, paths);
   return paths;
 }
 
-bool SplicerRouter::admit_tu(Engine& engine, const graph::Path& path,
+bool SplicerRouter::admit_tu(Engine& engine, graph::PathView path,
                              const std::vector<Amount>& hop_amounts) {
   if (!protocol_config().source_gating) return true;
   const auto& network = engine.network();
@@ -81,39 +77,37 @@ bool SplicerRouter::admit_tu(Engine& engine, const graph::Path& path,
   return true;
 }
 
-std::optional<graph::Path> SplicerRouter::assemble_path(
-    Engine& engine, NodeId from, NodeId to, const graph::Path& pair_path) const {
+bool SplicerRouter::assemble_path(Engine& engine, NodeId from, NodeId to,
+                                  const graph::Path& pair_path,
+                                  graph::Path& full) const {
   const auto& g = engine.network().topology();
   const NodeId hub_s = hub_of_.at(from);
   const NodeId hub_e = hub_of_.at(to);
 
-  graph::Path full;
-  full.nodes.reserve(pair_path.nodes.size() + 2);
-  full.edges.reserve(pair_path.edges.size() + 2);
+  full.nodes.clear();
+  full.edges.clear();
   // Sender spoke (skipped when the sender is itself the hub).
   if (from != hub_s) {
     const auto spoke = g.find_edge(from, hub_s);
-    if (spoke == graph::kInvalidEdge) return std::nullopt;
+    if (spoke == graph::kInvalidEdge) return false;
     full.nodes.push_back(from);
     full.edges.push_back(spoke);
   }
   // Hub segment.
   if (pair_path.nodes.empty() || pair_path.nodes.front() != hub_s ||
       pair_path.nodes.back() != hub_e) {
-    return std::nullopt;
+    return false;
   }
   full.nodes.insert(full.nodes.end(), pair_path.nodes.begin(), pair_path.nodes.end());
   full.edges.insert(full.edges.end(), pair_path.edges.begin(), pair_path.edges.end());
   // Receiver spoke.
   if (to != hub_e) {
     const auto spoke = g.find_edge(hub_e, to);
-    if (spoke == graph::kInvalidEdge) return std::nullopt;
+    if (spoke == graph::kInvalidEdge) return false;
     full.nodes.push_back(to);
     full.edges.push_back(spoke);
   }
-  full.length = static_cast<double>(full.edges.size());
-  if (full.edges.empty()) return std::nullopt;  // degenerate: from == to
-  return full;
+  return !full.edges.empty();  // empty: degenerate, from == to
 }
 
 }  // namespace splicer::routing

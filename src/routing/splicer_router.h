@@ -41,16 +41,17 @@ class SplicerRouter final : public RateRouterBase {
   [[nodiscard]] PairKey pair_of(const Engine& engine,
                                 const pcn::Payment& payment) const override;
   /// ...while the k-path sets live on the hub trunk mesh and are cached
-  /// per hub pair (every client pair on the same hubs shares them).
-  [[nodiscard]] std::vector<graph::Path> compute_pair_paths(
-      Engine& engine, const PairKey& pair) const override;
-  [[nodiscard]] std::optional<graph::Path> assemble_path(
-      Engine& engine, NodeId from, NodeId to,
-      const graph::Path& pair_path) const override;
+  /// per hub pair (every client pair on the same hubs shares them); the
+  /// returned reference is the cache entry.
+  [[nodiscard]] const std::vector<graph::Path>& compute_pair_paths(
+      Engine& engine, const PairKey& pair) override;
+  [[nodiscard]] bool assemble_path(Engine& engine, NodeId from, NodeId to,
+                                   const graph::Path& pair_path,
+                                   graph::Path& full) const override;
   /// Smooth nodes see the epoch-synchronised global channel state, so they
   /// hold TUs at the source while any downstream hop lacks funds
   /// (Alg. 2 line 10) instead of locking a doomed HTLC chain.
-  [[nodiscard]] bool admit_tu(Engine& engine, const graph::Path& path,
+  [[nodiscard]] bool admit_tu(Engine& engine, graph::PathView path,
                               const std::vector<Amount>& hop_amounts) override;
 
  private:
@@ -60,8 +61,7 @@ class SplicerRouter final : public RateRouterBase {
   std::vector<NodeId> hub_of_;
   std::vector<NodeId> hubs_;
   Config config_;
-  mutable std::map<std::pair<NodeId, NodeId>, std::vector<graph::Path>>
-      hub_path_cache_;
+  std::map<std::pair<NodeId, NodeId>, std::vector<graph::Path>> hub_path_cache_;
 };
 
 }  // namespace splicer::routing

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -478,6 +483,146 @@ TEST(RateProtocol, GoldenRateStateMidRun) {
           {0x1p-1, 0x1.803d6e19ecb5cp+2, 0x1.04c0136ee30f1p+1, 0, 4},
       }},
   });
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of each word.
+struct Fnv1a {
+  std::uint64_t value = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      value ^= (word >> (8 * byte)) & 0xff;
+      value *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// One pair's hash line of tests/data/rate_state_pairs.txt.
+struct PairHash {
+  NodeId from;
+  NodeId to;
+  std::uint64_t hash;
+  bool operator==(const PairHash&) const = default;
+};
+
+/// "<label> <from> <to> <hex hash>" lines, grouped by label in file order.
+std::map<std::string, std::vector<PairHash>> load_pair_hashes(const char* file) {
+  std::map<std::string, std::vector<PairHash>> out;
+  std::ifstream in(file);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line.front() == '#') continue;
+    std::istringstream fields(line);
+    std::string label;
+    PairHash pair{};
+    fields >> label >> pair.from >> pair.to >> std::hex >> pair.hash;
+    out[label].push_back(pair);
+  }
+  return out;
+}
+
+// Every pair's rate state after a full run: for each distinct (sender,
+// receiver) pair of the GoldenOutcomes payments, in sorted order, the
+// pair_diagnostics of each path (bit patterns of rate, window and price;
+// outstanding; hops) fold into one FNV-1a hash per scheme and engine config,
+// pinned below. tests/data/rate_state_pairs.txt holds each pair's own hash,
+// recorded with the totals, so a mismatch names the first pair that moved;
+// the failing run writes its own listing next to the test's temp files.
+TEST(RateProtocol, GoldenRateStateAllPairs) {
+  ScenarioConfig scenario_config;
+  scenario_config.seed = 7;
+  scenario_config.topology.nodes = 60;
+  scenario_config.placement.candidate_count = 6;
+  scenario_config.workload.payment_count = 250;
+  scenario_config.workload.horizon_seconds = 12.0;
+  const auto scenario = prepare_scenario(scenario_config);
+  std::set<std::pair<NodeId, NodeId>> pairs;
+  for (const auto& p : scenario.payments) pairs.emplace(p.sender, p.receiver);
+
+  // GoldenOutcomesUnderChurn's storm (robustness_test).
+  pcn::HostileConfig hostile;
+  hostile.fault_rate = 4.0;
+  hostile.churn_rate = 20.0;
+  hostile.fee_policy_rate = 1.0;
+  hostile.timelock_budget = 16;
+  struct Golden {
+    const char* scheme;
+    const char* config;
+    double epoch_s;
+    bool hostile;
+    std::uint64_t hash;
+  };
+  const Golden kGolden[] = {
+      {"splicer", "exact", 0.0, false, 0x06fbbcc3eea5f8fbULL},
+      {"splicer", "epoch10", 0.010, false, 0xd5ab80d765522797ULL},
+      {"splicer", "hostile", 0.0, true, 0x1a07d44e6ec49959ULL},
+      {"splicer", "hostile_epoch10", 0.010, true, 0x5e0808fc473322a0ULL},
+      {"spider", "exact", 0.0, false, 0xc9a98b6d3c329046ULL},
+      {"spider", "epoch10", 0.010, false, 0x2e4d9f59d2e50ea9ULL},
+      {"spider", "hostile", 0.0, true, 0x3f4e7d01e81905deULL},
+      {"spider", "hostile_epoch10", 0.010, true, 0x1decda965955181bULL},
+  };
+  auto recorded = load_pair_hashes(SPLICER_RATE_STATE_GOLDEN);
+  std::ostringstream listing;
+  listing << "# label from to fnv1a64 (GoldenRateStateAllPairs)\n";
+  bool any_mismatch = false;
+  for (const auto& g : kGolden) {
+    const std::string label = std::string(g.scheme) + "/" + g.config;
+    EngineConfig config;
+    config.queues_enabled = true;
+    config.settlement_epoch_s = g.epoch_s;
+    if (g.hostile) config.hostile = hostile;
+    SplicerRouter splicer(scenario.multi_star.hub_of, scenario.multi_star.hubs,
+                          SplicerRouter::Config{});
+    SpiderRouter spider(SpiderRouter::make_default_config());
+    const bool is_splicer = std::string(g.scheme) == "splicer";
+    RateRouterBase& router = is_splicer ? static_cast<RateRouterBase&>(splicer)
+                                        : static_cast<RateRouterBase&>(spider);
+    Engine engine(is_splicer ? scenario.multi_star.network : scenario.raw,
+                  scenario.make_source(), router, config);
+    (void)engine.run();
+
+    Fnv1a total;
+    std::vector<PairHash> got;
+    for (const auto& [from, to] : pairs) {
+      const auto paths = router.pair_diagnostics(from, to);
+      Fnv1a own;
+      for (Fnv1a* h : {&total, &own}) {
+        h->add(from);
+        h->add(to);
+        h->add(paths.size());
+        for (const auto& d : paths) {
+          h->add(std::bit_cast<std::uint64_t>(d.rate_tps));
+          h->add(std::bit_cast<std::uint64_t>(d.window));
+          h->add(std::bit_cast<std::uint64_t>(d.price));
+          h->add(d.outstanding);
+          h->add(d.hops);
+        }
+      }
+      got.push_back(PairHash{from, to, own.value});
+      listing << label << ' ' << from << ' ' << to << ' ' << std::hex << own.value
+              << std::dec << '\n';
+    }
+    EXPECT_EQ(total.value, g.hash) << label << std::hex << " hash 0x" << total.value;
+    if (total.value == g.hash) continue;
+    any_mismatch = true;
+    const auto& want = recorded[label];
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (i < want.size() && got[i] == want[i]) continue;
+      std::ostringstream state;
+      for (const auto& d : router.pair_diagnostics(got[i].from, got[i].to)) {
+        state << std::hexfloat << " {" << d.rate_tps << ", " << d.window << ", "
+              << d.price << ", " << d.outstanding << ", " << d.hops << "}";
+      }
+      ADD_FAILURE() << label << ": first differing pair " << got[i].from << "->"
+                    << got[i].to << ", now" << state.str();
+      break;
+    }
+  }
+  if (any_mismatch) {
+    const std::string out = ::testing::TempDir() + "rate_state_pairs.txt";
+    std::ofstream(out) << listing.str();
+    ADD_FAILURE() << "this run's per-pair hashes: " << out;
+  }
 }
 
 }  // namespace

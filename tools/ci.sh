@@ -35,15 +35,16 @@
 # example trace through splicer_cli, plus streaming bursty/hotspot runs, an
 # eviction check (a materialised and a streaming run must each hold fewer
 # payment states at once than they have payments), and an ASan+UBSan
-# build of the smoke-label ctest subset so eviction-order bugs surface as
+# build (with libstdc++'s bounds-checked containers, _GLIBCXX_ASSERTIONS)
+# of the smoke-label ctest subset so eviction-order bugs surface as
 # hard errors instead of flakes. The same build runs the fig8 smoke
 # (--threads 1) and diffs it against its frozen baseline, so the graph
 # searches' label and residual indexing runs at 3,000 nodes under the
 # sanitizers.
 #
 # A SPLICER_AUDIT=ON build then runs the smoke-label suites with the
-# scheduler heap-order witness and the engine's queue-accounting witness
-# compiled in — the runtime backstop for what splicer_lint can only
+# scheduler heap-order witness, the engine's queue-accounting witness and
+# the rate routers' demand-pool and path-slice witnesses compiled in — the runtime backstop for what splicer_lint can only
 # approximate statically. The same build runs the fig7 smoke (--threads 1)
 # at epoch 0 and at epoch 10 ms and diffs each against its frozen baseline,
 # so the witnesses also see the real Splicer and Spider event streams: lazy
